@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import yaml
-
 from tracegen.elements import extract_json_body, json_fence_count
+from tracegen.emit import dump_yaml
 from tracegen.errors import InvalidJson, PointerUnresolvable, SchemaError
 from tracegen.graph import TraceGraph, find_by_type
 from tracegen.schema import (
@@ -41,9 +40,6 @@ class CheckReport:
     violations: list[Violation]
     counts: dict[str, tuple[int, int]] = field(default_factory=dict)  # id -> (errors, warnings)
     passed: bool = True
-
-    def errors(self) -> list[Violation]:
-        return [v for v in self.violations if v.severity == "error"]
 
 
 def _violation(
@@ -348,4 +344,4 @@ def report_to_yaml(report: CheckReport) -> str:
             for v in report.violations
         ],
     }
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False)
+    return dump_yaml(data, allow_unicode=False)

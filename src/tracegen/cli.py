@@ -56,6 +56,8 @@ def _load_pipeline(
         config_doc = json.loads(Path(config_schema_path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise TracegenError(f"config schema is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TracegenError(f"config schema is not UTF-8: {exc}") from exc
     config_schema = parse_schema(config_doc)
 
     include = globs if globs else DEFAULT_GLOBS

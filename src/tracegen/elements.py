@@ -115,11 +115,7 @@ def scan_repository(
 
 
 def _line_starts(content: str) -> list[int]:
-    starts = [0]
-    for i, ch in enumerate(content):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
+    return [0] + [m.end() for m in re.finditer("\n", content)]
 
 
 def _parse_attrs(raw: str) -> dict[str, str] | str:

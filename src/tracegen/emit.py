@@ -40,13 +40,58 @@ def _record_mapping(record: OptimizerInputRecord) -> dict:
     }
 
 
+def _without_aliases(base: type) -> type:
+    """A dumper that writes a shared object out in full each time, not as an alias."""
+    return type("NoAlias" + base.__name__, (base,), {"ignore_aliases": lambda self, data: True})
+
+
+_PY_DUMPER = _without_aliases(yaml.SafeDumper)
+_C_DUMPER = _without_aliases(yaml.CSafeDumper) if yaml.__with_libyaml__ else None
+
+# Strings for which libyaml's emitter was fuzzed to write the same bytes as
+# PyYAML's. Outside them libyaml escapes astral characters, treats NEL, U+2028
+# and the BOM differently, and folds multi-line double-quoted scalars at other
+# points. It also writes an empty key as `'': 1` and counts the 128-character
+# simple-key limit in bytes, hence the key length cap.
+_LIBYAML_SAME = {
+    True: re.compile(r"[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd]*"),
+    False: re.compile(r"[\x20-\x7e]*"),
+}
+
+
+def _libyaml_same(data, allow_unicode: bool) -> bool:
+    """Whether libyaml writes `data` (dicts, lists, JSON scalars) like PyYAML."""
+    strings, stack = [], [data]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            strings.append(node)
+        elif isinstance(node, dict):
+            if not all(0 < len(k) <= 40 for k in node if isinstance(k, str)):
+                return False
+            stack.extend(node)
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    return _LIBYAML_SAME[allow_unicode].fullmatch("".join(strings)) is not None
+
+
+def dump_yaml(data, allow_unicode: bool) -> str:
+    """Block-style YAML with sorted keys and no aliases, through libyaml when
+    that gives the same bytes as the Python emitter."""
+    dumper = _C_DUMPER if _C_DUMPER and _libyaml_same(data, allow_unicode) else _PY_DUMPER
+    return yaml.dump(
+        data, Dumper=dumper, sort_keys=True, default_flow_style=False, allow_unicode=allow_unicode
+    )
+
+
 def emit_yaml(doc: IntermediaryDocument) -> str:
     """Deterministic YAML with exactly two top-level keys."""
     data = {
         "config_schema": doc.config_schema,
         "optimizer_inputs": [_record_mapping(r) for r in doc.optimizer_inputs],
     }
-    return yaml.safe_dump(data, sort_keys=True, default_flow_style=False, allow_unicode=True)
+    return dump_yaml(data, allow_unicode=True)
 
 
 def load_intermediary(text: str) -> IntermediaryDocument:

@@ -90,12 +90,22 @@ def _as_name_set(value) -> frozenset[str]:
 
 def load_ttim(path: str | Path) -> TtimDefinition:
     """Load and validate a TTIM definition from its YAML layout."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedTtim(f"TTIM file is not UTF-8: {exc}") from exc
     return parse_ttim(text)
 
 
 def parse_ttim(text: str) -> TtimDefinition:
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # str(exc) spans several lines; the diagnostic must fit on one
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        detail = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise MalformedTtim(f"TTIM file is not valid YAML{where}: {detail}") from exc
     if not isinstance(data, dict):
         raise MalformedTtim("TTIM file must be a YAML mapping")
     unknown = set(data) - {"node_types", "link_types", "special"}

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 from click.testing import CliRunner
 
@@ -39,6 +40,33 @@ class TestCheck:
         result = run("check", repo, "--config-schema", bad)
         assert result.exit_code == 2
         assert "fatal" in result.stderr
+
+    def test_non_utf8_config_schema_exit_2(self, tmp_path, fig_repo):
+        repo, _ = fig_repo
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        result = run("check", repo, "--config-schema", bad)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("fatal: config schema is not UTF-8")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"node_types: [\n", "not valid YAML at line 2"),
+            (b"a: b: c\n", "not valid YAML at line 1"),
+            (b"\x01bad\n", "not valid YAML: unacceptable character"),
+            (b"\xff\xfe: x\n", "not UTF-8"),
+        ],
+    )
+    def test_malformed_ttim_exit_2(self, tmp_path, fig_repo, content, reason):
+        repo, schema = fig_repo
+        ttim = tmp_path / "ttim.yaml"
+        ttim.write_bytes(content)
+        result = run("check", repo, "--config-schema", schema, "--ttim", ttim)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"fatal: TTIM file is {reason}")
+        assert result.stderr.count("\n") == 1
 
     def test_report_written(self, fig_repo, tmp_path):
         repo, schema = fig_repo

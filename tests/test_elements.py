@@ -2,6 +2,7 @@ import pytest
 
 from tracegen.elements import (
     SourceFile,
+    _line_starts,
     extract_json_body,
     json_fence_count,
     parse_file,
@@ -194,3 +195,20 @@ class TestScanRepository:
         files, diagnostics = scan_repository(tmp_path, ("*.md",))
         assert [f.path for f in files] == ["ok.md"]
         assert diagnostics[0].severity == "warning"
+
+
+def _line_starts_loop(content):
+    """Reference: the per-character loop _line_starts replaced."""
+    starts = [0]
+    for i, ch in enumerate(content):
+        if ch == "\n":
+            starts.append(i + 1)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["a\r\nb\r\n\r\nc\r\n", "one\ntwo\nno final newline", "", "\n", "\n\nx"],
+)
+def test_line_starts_matches_loop(content):
+    assert _line_starts(content) == _line_starts_loop(content)
