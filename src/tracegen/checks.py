@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
-from tracegen.elements import extract_json_body, json_fence_count
+from tracegen.elements import RawElement, extract_json_body, json_fence_count
 from tracegen.emit import dump_yaml
 from tracegen.errors import InvalidJson, PointerUnresolvable, SchemaError
 from tracegen.graph import TraceGraph, find_by_type
@@ -131,91 +132,77 @@ def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list
     return out
 
 
-def _schema_link_targets(graph: TraceGraph, ttim: TtimDefinition, uid: str) -> list[str]:
-    return [t for lt, t in graph.outgoing(uid) if lt == ttim.schema_link]
+@dataclass(frozen=True, slots=True)
+class Resolution:
+    """One optimizer input's schema and instance value, and the check-2
+    violations met while reading them."""
+
+    violations: tuple[Violation, ...]
+    schema: SchemaDoc | None = None  # set once the schema body parsed
+    value: Any = None
+    complete: bool = False  # schema and value both read
+
+
+def _resolve(graph: TraceGraph, ttim: TtimDefinition, oi_uid: str) -> Resolution:
+    found: list[Violation] = []
+
+    def note(severity: str, uid: str, message: str) -> None:
+        found.append(_violation(CHECK_INTERNAL_SCHEMA, severity, graph, uid, message))
+
+    def read(element: RawElement, missing: str, parse) -> tuple[bool, Any]:
+        fences = json_fence_count(element.body)
+        if fences == 0:
+            note("error", element.uid, missing)
+            return False, None
+        if fences > 1:
+            note("warning", element.uid, "multiple fenced JSON blocks; only the first is used")
+        try:
+            return True, parse(extract_json_body(element))
+        except (InvalidJson, SchemaError) as exc:
+            note("error", element.uid, str(exc))
+            return False, None
+
+    targets = [t for lt, t in graph.outgoing(oi_uid) if lt == ttim.schema_link]
+    if not targets:
+        # check 1 reports the absence when the meta-model requires the link
+        return Resolution(())
+    if len(targets) > 1:
+        note("error", oi_uid, f"ambiguous schema link: {len(targets)} {ttim.schema_link!r} edges")
+        return Resolution(tuple(found))
+    has_schema, schema = read(
+        graph.elements[targets[0]], "schema-type element carries no fenced JSON block", parse_schema
+    )
+    if not has_schema:
+        return Resolution(tuple(found))
+    has_value, value = read(
+        graph.elements[oi_uid], "optimizer input carries no fenced JSON instance", lambda v: v
+    )
+    return Resolution(tuple(found), schema, value, has_value)
+
+
+def resolve_optimizer_inputs(
+    graph: TraceGraph, ttim: TtimDefinition
+) -> dict[str, Resolution]:
+    """Apply the schema-link and fence rules once per optimizer input: it has
+    one schema link to an element whose first fenced JSON block is a schema,
+    and carries its own instance value in a fenced JSON block."""
+    return {
+        uid: _resolve(graph, ttim, uid)
+        for uid in find_by_type(graph, ttim.optimizer_input_type)
+    }
 
 
 def check_internal_schema_correctness(
-    graph: TraceGraph, ttim: TtimDefinition
+    graph: TraceGraph, resolutions: dict[str, Resolution]
 ) -> list[Violation]:
     """Check 2: every optimizer input's JSON instance validates against the
     schema carried by its linked schema-type element."""
     out: list[Violation] = []
-    for oi_uid in find_by_type(graph, ttim.optimizer_input_type):
-        targets = _schema_link_targets(graph, ttim, oi_uid)
-        if not targets:
-            # absence is already a required-link failure in check 1
+    for oi_uid, resolution in resolutions.items():
+        out.extend(resolution.violations)
+        if not resolution.complete:
             continue
-        if len(targets) > 1:
-            out.append(
-                _violation(
-                    CHECK_INTERNAL_SCHEMA,
-                    "error",
-                    graph,
-                    oi_uid,
-                    f"ambiguous schema link: {len(targets)} {ttim.schema_link!r} edges",
-                )
-            )
-            continue
-        schema_element = graph.elements[targets[0]]
-        if json_fence_count(schema_element.body) == 0:
-            out.append(
-                _violation(
-                    CHECK_INTERNAL_SCHEMA,
-                    "error",
-                    graph,
-                    schema_element.uid,
-                    "schema-type element carries no fenced JSON block",
-                )
-            )
-            continue
-        if json_fence_count(schema_element.body) > 1:
-            out.append(
-                _violation(
-                    CHECK_INTERNAL_SCHEMA,
-                    "warning",
-                    graph,
-                    schema_element.uid,
-                    "multiple fenced JSON blocks; only the first is used",
-                )
-            )
-        try:
-            schema = parse_schema(extract_json_body(schema_element))
-        except (InvalidJson, SchemaError) as exc:
-            out.append(
-                _violation(
-                    CHECK_INTERNAL_SCHEMA, "error", graph, schema_element.uid, str(exc)
-                )
-            )
-            continue
-        oi_element = graph.elements[oi_uid]
-        if json_fence_count(oi_element.body) == 0:
-            out.append(
-                _violation(
-                    CHECK_INTERNAL_SCHEMA,
-                    "error",
-                    graph,
-                    oi_uid,
-                    "optimizer input carries no fenced JSON instance",
-                )
-            )
-            continue
-        if json_fence_count(oi_element.body) > 1:
-            out.append(
-                _violation(
-                    CHECK_INTERNAL_SCHEMA,
-                    "warning",
-                    graph,
-                    oi_uid,
-                    "multiple fenced JSON blocks; only the first is used",
-                )
-            )
-        try:
-            instance = extract_json_body(oi_element)
-        except InvalidJson as exc:
-            out.append(_violation(CHECK_INTERNAL_SCHEMA, "error", graph, oi_uid, str(exc)))
-            continue
-        for violation in validate_instance(schema, instance):
+        for violation in validate_instance(resolution.schema, resolution.value):
             out.append(
                 _violation(
                     CHECK_INTERNAL_SCHEMA,
@@ -230,13 +217,13 @@ def check_internal_schema_correctness(
 
 
 def check_semantic_equivalence(
-    graph: TraceGraph, ttim: TtimDefinition, config_schema: SchemaDoc
+    graph: TraceGraph, config_schema: SchemaDoc, resolutions: dict[str, Resolution]
 ) -> list[Violation]:
     """Check 3: each optimizer input's schema matches the configuration-schema
     subschema at its placement pointer."""
     out: list[Violation] = []
     placements: set[str] = set()
-    for oi_uid in find_by_type(graph, ttim.optimizer_input_type):
+    for oi_uid, resolution in resolutions.items():
         element = graph.elements[oi_uid]
         if element.placement is None:
             out.append(
@@ -257,14 +244,9 @@ def check_semantic_equivalence(
                 _violation(CHECK_SEMANTIC_EQUIVALENCE, "error", graph, oi_uid, str(exc))
             )
             continue
-        targets = _schema_link_targets(graph, ttim, oi_uid)
-        if len(targets) != 1:
+        oi_schema = resolution.schema
+        if oi_schema is None:
             continue  # checks 1/2 own that failure
-        schema_element = graph.elements[targets[0]]
-        try:
-            oi_schema = parse_schema(extract_json_body(schema_element))
-        except (InvalidJson, SchemaError, TypeError):
-            continue  # check 2 owns that failure
         if not schemas_equivalent(config_sub, oi_schema):
             out.append(
                 _violation(
@@ -296,13 +278,20 @@ def check_semantic_equivalence(
 
 
 def run_all_checks(
-    graph: TraceGraph, ttim: TtimDefinition, config_schema: SchemaDoc
+    graph: TraceGraph,
+    ttim: TtimDefinition,
+    config_schema: SchemaDoc,
+    resolutions: dict[str, Resolution],
 ) -> CheckReport:
-    """Run the three checks in order and aggregate a sorted report."""
+    """Run the three checks in order and aggregate a sorted report.
+
+    ``resolutions`` is ``resolve_optimizer_inputs(graph, ttim)``; the caller
+    keeps it only if it goes on to collect records from it.
+    """
     violations = (
         check_metamodel_consistency(graph, ttim)
-        + check_internal_schema_correctness(graph, ttim)
-        + check_semantic_equivalence(graph, ttim, config_schema)
+        + check_internal_schema_correctness(graph, resolutions)
+        + check_semantic_equivalence(graph, config_schema, resolutions)
     )
     violations.sort(
         key=lambda v: (

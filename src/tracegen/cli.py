@@ -75,6 +75,15 @@ def _load_pipeline(
     return graph, ttim, config_schema
 
 
+def _write(path: str, text: str) -> None:
+    """Write an artifact or report file; an I/O failure is fatal."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _warn(f"fatal: {exc}")
+        sys.exit(EXIT_OPERATIONAL)
+
+
 def _common_options(func):
     func = click.option(
         "--reverse-links",
@@ -123,12 +132,14 @@ def cmd_check(repo_root, ttim_path, config_schema_path, globs, reverse_links, re
     except (TracegenError, OSError) as exc:
         _warn(f"fatal: {exc}")
         sys.exit(EXIT_OPERATIONAL)
-    report = checks_mod.run_all_checks(graph, ttim, config_schema)
+    report = checks_mod.run_all_checks(
+        graph, ttim, config_schema, checks_mod.resolve_optimizer_inputs(graph, ttim)
+    )
     for violation in report.violations:
         location = f"{violation.file}:{violation.line}" if violation.file else "-"
         _warn(f"{violation.severity}: {violation.check_id}: {location}: {violation.message}")
     if report_path:
-        Path(report_path).write_text(checks_mod.report_to_yaml(report), encoding="utf-8")
+        _write(report_path, checks_mod.report_to_yaml(report))
     sys.exit(EXIT_OK if report.passed else EXIT_CHECK_FAILED)
 
 
@@ -169,9 +180,10 @@ def cmd_generate(
         _warn(f"fatal: {exc}")
         sys.exit(EXIT_OPERATIONAL)
 
-    report = checks_mod.run_all_checks(graph, ttim, config_schema)
+    resolutions = checks_mod.resolve_optimizer_inputs(graph, ttim)
+    report = checks_mod.run_all_checks(graph, ttim, config_schema, resolutions)
     if report_path:
-        Path(report_path).write_text(checks_mod.report_to_yaml(report), encoding="utf-8")
+        _write(report_path, checks_mod.report_to_yaml(report))
     if not report.passed:
         _warn("checks failed; run check for details")
         sys.exit(EXIT_CHECK_FAILED)
@@ -186,7 +198,7 @@ def cmd_generate(
         ]
         for result in results:
             _print_diagnostics(result.diagnostics)
-        records = collect_optimizer_inputs(results, graph, ttim)
+        records = collect_optimizer_inputs(results, graph, ttim, resolutions)
     except TracegenError as exc:
         _warn(f"error: {exc}")
         sys.exit(EXIT_CHECK_FAILED)
@@ -194,11 +206,7 @@ def cmd_generate(
     doc = IntermediaryDocument(config_schema=config_schema, optimizer_inputs=records)
     text = emit_yaml(doc) if output_format == "yaml" else emit_plantuml(doc, graph)
     if output_path:
-        try:
-            Path(output_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            _warn(f"fatal: {exc}")
-            sys.exit(EXIT_OPERATIONAL)
+        _write(output_path, text)
     else:
         click.echo(text, nl=False)
     sys.exit(EXIT_OK)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -261,8 +262,25 @@ def extract_json_body(element: RawElement):
     if match is None:
         return None
     try:
-        return json.loads(match.group(1))
+        return json.loads(
+            match.group(1), parse_constant=_reject_constant, object_pairs_hook=_shared_strings
+        )
     except json.JSONDecodeError as exc:
         raise InvalidJson(
             f"invalid JSON in fenced block: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the digit limit of int(), or nesting past the recursion limit
+        raise InvalidJson(f"invalid JSON in fenced block: {exc}") from exc
+
+
+def _shared_strings(pairs: list[tuple[str, object]]) -> dict:
+    # The schema and value of every optimizer input stay in memory from the
+    # checks to emission, and their keys and short strings ("type", "number",
+    # units) repeat across elements: interning keeps one copy of each.
+    return {sys.intern(k): sys.intern(v) if type(v) is str else v for k, v in pairs}
+
+
+def _reject_constant(name: str):
+    # json.loads accepts NaN and +/-Infinity; RFC 8259 JSON does not
+    raise InvalidJson(f"invalid JSON in fenced block: {name} is not a JSON value")

@@ -72,18 +72,3 @@ class NotAScenario(TracegenError):
 class PathLimitExceeded(TracegenError):
     """A scenario produced more trace paths than the configured cap."""
 
-
-class MissingSchemaLink(TracegenError):
-    """An optimizer input carries no schema link edge."""
-
-
-class AmbiguousSchemaLink(TracegenError):
-    """An optimizer input carries more than one schema link edge."""
-
-
-class SchemaTypeWithoutBody(TracegenError):
-    """A schema-type element has no fenced JSON block."""
-
-
-class MissingInstanceBody(TracegenError):
-    """An optimizer input has no fenced JSON block with its instance value."""

@@ -97,103 +97,3 @@ def find_by_type(graph: TraceGraph, type_name: str) -> list[str]:
     """Uids whose element type equals ``type_name``, sorted."""
     return list(graph.by_type.get(type_name, ()))
 
-
-def detect_cycles(graph: TraceGraph) -> list[list[str]]:
-    """One representative cycle per non-trivial strongly connected component,
-    plus one per self-loop; empty iff the graph is acyclic.
-
-    Each cycle is rotated so its lexicographically smallest uid comes first.
-    """
-    sccs = _tarjan_sccs(graph)
-    cycles: list[list[str]] = []
-    for scc in sccs:
-        if len(scc) >= 2:
-            cycles.append(_cycle_within(graph, scc))
-    for source, _, target in graph.edges:
-        if source == target:
-            cycles.append([source])
-    # one entry per self-loop node, even with parallel self-edges
-    seen: set[tuple[str, ...]] = set()
-    unique = []
-    for cycle in cycles:
-        key = tuple(cycle)
-        if key not in seen:
-            seen.add(key)
-            unique.append(cycle)
-    unique.sort(key=lambda c: (c[0], c))
-    return unique
-
-
-def _tarjan_sccs(graph: TraceGraph) -> list[list[str]]:
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    sccs: list[list[str]] = []
-
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(graph.outgoing(root)))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, neighbors = work[-1]
-            advanced = False
-            for _, target in neighbors:
-                if target not in index:
-                    index[target] = lowlink[target] = counter[0]
-                    counter[0] += 1
-                    stack.append(target)
-                    on_stack.add(target)
-                    work.append((target, iter(graph.outgoing(target))))
-                    advanced = True
-                    break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                scc = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(scc))
-
-    for uid in sorted(graph.elements):
-        if uid not in index:
-            strongconnect(uid)
-    return sccs
-
-
-def _cycle_within(graph: TraceGraph, scc: list[str]) -> list[str]:
-    """Deterministic cycle through the smallest uid of a non-trivial SCC."""
-    members = set(scc)
-    start = scc[0]  # scc is sorted
-    path = [start]
-    visited = {start}
-
-    def dfs(node: str) -> bool:
-        for _, target in graph.outgoing(node):
-            if target == start and len(path) >= 2:
-                return True
-            if target in members and target not in visited:
-                visited.add(target)
-                path.append(target)
-                if dfs(target):
-                    return True
-                path.pop()
-                visited.discard(target)
-        return False
-
-    # a cycle through start always exists in a strongly connected component
-    dfs(start)
-    return path

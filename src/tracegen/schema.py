@@ -74,7 +74,7 @@ def parse_schema(doc: Any, pointer: str = "") -> SchemaDoc:
             raise UnknownKeyword(f"unsupported keyword {key!r}", pointer)
 
     if "type" in doc:
-        if doc["type"] not in ALLOWED_TYPES:
+        if not isinstance(doc["type"], str) or doc["type"] not in ALLOWED_TYPES:
             raise InvalidKeywordValue(f"invalid type {doc['type']!r}", pointer)
     if "properties" in doc:
         props = doc["properties"]
@@ -125,7 +125,7 @@ def _json_type(value: Any) -> str:
 def _matches_type(value: Any, declared: str) -> bool:
     actual = _json_type(value)
     if declared == "integer":
-        return actual == "number" and float(value) == int(value)
+        return actual == "number" and (isinstance(value, int) or value.is_integer())
     return actual == declared
 
 

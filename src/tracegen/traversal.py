@@ -4,20 +4,16 @@ optimizer input, plus the records that feed the emitters."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from tracegen.elements import ParseDiagnostic, RawElement
-from tracegen.errors import (
-    AmbiguousSchemaLink,
-    MissingInstanceBody,
-    MissingSchemaLink,
-    NotAScenario,
-    PathLimitExceeded,
-    SchemaTypeWithoutBody,
-)
-from tracegen.elements import extract_json_body, json_fence_count
+from tracegen.elements import ParseDiagnostic
+from tracegen.errors import NotAScenario, PathLimitExceeded, TracegenError
 from tracegen.graph import TraceGraph, find_by_type
-from tracegen.schema import SchemaDoc, parse_schema
+from tracegen.schema import SchemaDoc
 from tracegen.ttim import TtimDefinition
+
+if TYPE_CHECKING:
+    from tracegen.checks import Resolution
 
 DEFAULT_MAX_PATHS = 10000
 
@@ -86,19 +82,26 @@ def traverse_from_scenario(
     links: list[str] = []
     on_path: set[str] = {scenario}
 
-    def visit(node: str) -> None:
-        if graph.element_type(node) == ttim.optimizer_input_type:
-            if len(paths) >= max_paths:
-                raise PathLimitExceeded(
-                    f"scenario {scenario!r} exceeds {max_paths} trace paths"
-                )
-            paths.append(
-                TracePath(nodes=tuple(reversed(path)), link_types=tuple(reversed(links)))
+    def record() -> None:
+        if len(paths) >= max_paths:
+            raise PathLimitExceeded(
+                f"scenario {scenario!r} exceeds {max_paths} trace paths"
             )
-        for link_type, target in graph.outgoing(node):
+        paths.append(
+            TracePath(nodes=tuple(reversed(path)), link_types=tuple(reversed(links)))
+        )
+
+    if ttim.scenario_type == ttim.optimizer_input_type:
+        record()  # a meta-model may give both roles one type
+    # an explicit stack of neighbour iterators, one per node on the path, so
+    # the depth is not bounded by the recursion limit
+    stack = [iter(graph.outgoing(scenario))]
+    while stack:
+        for link_type, target in stack[-1]:
             if link_type == ttim.schema_link:
                 continue
             if target in on_path:
+                node = path[-1]
                 edge = (node, link_type, target)
                 if edge not in warned_edges:
                     warned_edges.add(edge)
@@ -115,50 +118,39 @@ def traverse_from_scenario(
             on_path.add(target)
             path.append(target)
             links.append(link_type)
-            visit(target)
-            links.pop()
-            path.pop()
-            on_path.discard(target)
+            if graph.element_type(target) == ttim.optimizer_input_type:
+                record()
+            stack.append(iter(graph.outgoing(target)))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+            if links:
+                links.pop()
 
-    visit(scenario)
     paths.sort(key=lambda p: (p.nodes[0], p.nodes, p.link_types))
     return ScenarioResult(scenario_uid=scenario, paths=paths, diagnostics=diagnostics)
 
 
-def _resolve_schema(graph: TraceGraph, ttim: TtimDefinition, oi_uid: str) -> SchemaDoc:
-    schema_targets = [
-        target for link_type, target in graph.outgoing(oi_uid) if link_type == ttim.schema_link
-    ]
-    if not schema_targets:
-        raise MissingSchemaLink(f"{oi_uid!r} has no {ttim.schema_link!r} link")
-    if len(schema_targets) > 1:
-        raise AmbiguousSchemaLink(
-            f"{oi_uid!r} has {len(schema_targets)} {ttim.schema_link!r} links"
-        )
-    schema_element = graph.elements[schema_targets[0]]
-    if json_fence_count(schema_element.body) == 0:
-        raise SchemaTypeWithoutBody(f"{schema_element.uid!r} carries no fenced JSON block")
-    return parse_schema(extract_json_body(schema_element))
-
-
-def _instance_value(element: RawElement):
-    if json_fence_count(element.body) == 0:
-        raise MissingInstanceBody(f"{element.uid!r} carries no fenced JSON block")
-    return extract_json_body(element)
-
-
 def collect_optimizer_inputs(
-    results: list[ScenarioResult], graph: TraceGraph, ttim: TtimDefinition
+    results: list[ScenarioResult],
+    graph: TraceGraph,
+    ttim: TtimDefinition,
+    resolutions: dict[str, Resolution],
 ) -> list[OptimizerInputRecord]:
     """One record per (scenario, path) pair, sorted deterministically.
 
-    Assumes the quality checks already passed for the involved elements;
-    unresolved schema links or missing bodies raise.
+    The records of one input share the schema and value in its resolution.
+    Once the checks passed, an input can only lack them because the
+    meta-model lets it go without a schema link, which raises.
     """
     records: list[OptimizerInputRecord] = []
     for result in results:
         for trace_path in result.paths:
             oi_uid = trace_path.nodes[0]
+            resolution = resolutions[oi_uid]
+            if not resolution.complete:
+                raise TracegenError(f"{oi_uid!r} has no {ttim.schema_link!r} link")
             element = graph.elements[oi_uid]
             records.append(
                 OptimizerInputRecord(
@@ -171,8 +163,8 @@ def collect_optimizer_inputs(
                         (uid, graph.element_type(uid)) for uid in trace_path.nodes
                     ),
                     trace_links=trace_path.link_types,
-                    schema=_resolve_schema(graph, ttim, oi_uid),
-                    value=_instance_value(element),
+                    schema=resolution.schema,
+                    value=resolution.value,
                 )
             )
     records.sort(key=lambda r: (r.scenario_uid, r.uid, r.trace_nodes))

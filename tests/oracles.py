@@ -88,28 +88,6 @@ def brute_force_paths(edges, types, scenario, target_type, excluded_link):
     return found
 
 
-def brute_force_sccs(nodes, edges):
-    """Strongly connected components via reachability closure."""
-    reach = {n: {n} for n in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for source, _, target in edges:
-            new = reach[target] - reach[source]
-            if new:
-                reach[source] |= new
-                changed = True
-    sccs = []
-    seen = set()
-    for n in nodes:
-        if n in seen:
-            continue
-        component = {m for m in reach[n] if n in reach[m]}
-        seen |= component
-        sccs.append(frozenset(component))
-    return sccs
-
-
 def recursive_property_paths(schema):
     """Plain recursive enumeration of /properties/... chains."""
     def esc(token):

@@ -12,6 +12,7 @@ from tracegen.checks import (
     CHECK_INTERNAL_SCHEMA,
     CHECK_METAMODEL,
     CHECK_SEMANTIC_EQUIVALENCE,
+    resolve_optimizer_inputs,
     run_all_checks,
 )
 from tracegen.cli import cli
@@ -72,7 +73,8 @@ def test_criterion_1_fixture_reproduction(tmp_path):
     repo, schema_path = write_repo(tmp_path, repo_files())
     graph = load_graph(repo)
     result = traverse_from_scenario(graph, TTIM, "RS1")
-    records = collect_optimizer_inputs([result], graph, TTIM)
+    resolutions = resolve_optimizer_inputs(graph, TTIM)
+    records = collect_optimizer_inputs([result], graph, TTIM, resolutions)
     assert len(records) == 2
     for record in records:
         assert record.trace_nodes[0][0] == record.uid
@@ -102,7 +104,8 @@ def _single_error_in(report, check_id):
 def test_criterion_2a_metamodel_failure(tmp_path):
     extra = '\n<treqs-element id="BAD" type="reqirement">\n</treqs-element>\n'
     repo, schema_path = write_repo(tmp_path, repo_files(extra_requirements=extra))
-    report = run_all_checks(load_graph(repo), TTIM, CONFIG_SCHEMA)
+    graph = load_graph(repo)
+    report = run_all_checks(graph, TTIM, CONFIG_SCHEMA, resolve_optimizer_inputs(graph, TTIM))
     _single_error_in(report, CHECK_METAMODEL)
     assert run_cli("check", repo, "--config-schema", schema_path).exit_code == 1
     announce(2, "(a) undeclared element type: exactly one metamodel error, exit 1")
@@ -110,7 +113,8 @@ def test_criterion_2a_metamodel_failure(tmp_path):
 
 def test_criterion_2b_internal_schema_failure(tmp_path):
     repo, schema_path = write_repo(tmp_path, repo_files(oi_eth_value='"fast"'))
-    report = run_all_checks(load_graph(repo), TTIM, CONFIG_SCHEMA)
+    graph = load_graph(repo)
+    report = run_all_checks(graph, TTIM, CONFIG_SCHEMA, resolve_optimizer_inputs(graph, TTIM))
     _single_error_in(report, CHECK_INTERNAL_SCHEMA)
     assert run_cli("check", repo, "--config-schema", schema_path).exit_code == 1
     announce(2, "(b) schema-violating instance: exactly one internal_schema error, exit 1")
@@ -120,7 +124,8 @@ def test_criterion_2c_semantic_equivalence_failure(tmp_path):
     config = json.loads(json.dumps(CONFIG_SCHEMA))
     del config["properties"]["ethernet_latency"]["minimum"]
     repo, schema_path = write_repo(tmp_path, repo_files(), config)
-    report = run_all_checks(load_graph(repo), TTIM, config)
+    graph = load_graph(repo)
+    report = run_all_checks(graph, TTIM, config, resolve_optimizer_inputs(graph, TTIM))
     _single_error_in(report, CHECK_SEMANTIC_EQUIVALENCE)
     assert run_cli("check", repo, "--config-schema", schema_path).exit_code == 1
     announce(2, "(c) diverging config subschema: exactly one semantic_equivalence error, exit 1")
@@ -193,7 +198,8 @@ def test_criterion_7_yaml_round_trip(tmp_path):
         repo, _ = write_repo(tmp_path / f"fix{i}", files)
         graph = load_graph(repo)
         result = traverse_from_scenario(graph, TTIM, "RS1")
-        records = collect_optimizer_inputs([result], graph, TTIM)
+        resolutions = resolve_optimizer_inputs(graph, TTIM)
+        records = collect_optimizer_inputs([result], graph, TTIM, resolutions)
         doc = IntermediaryDocument(config_schema=CONFIG_SCHEMA, optimizer_inputs=records)
         assert load_intermediary(emit_yaml(doc)) == doc
     empty = IntermediaryDocument(config_schema=CONFIG_SCHEMA, optimizer_inputs=[])

@@ -8,6 +8,7 @@ from tracegen.checks import (
     check_metamodel_consistency,
     check_semantic_equivalence,
     report_to_yaml,
+    resolve_optimizer_inputs,
     run_all_checks,
 )
 from tracegen.graph import build_graph
@@ -25,6 +26,18 @@ CONFIG = {
         "model_latency": {"type": "number"},
     },
 }
+
+
+def check2(graph):
+    return check_internal_schema_correctness(graph, resolve_optimizer_inputs(graph, TTIM))
+
+
+def check3(graph, config):
+    return check_semantic_equivalence(graph, config, resolve_optimizer_inputs(graph, TTIM))
+
+
+def run_all(graph, config):
+    return run_all_checks(graph, TTIM, config, resolve_optimizer_inputs(graph, TTIM))
 
 
 def errors(violations):
@@ -75,7 +88,7 @@ class TestMetamodel:
 
 class TestInternalSchema:
     def test_clean_fixture(self):
-        assert check_internal_schema_correctness(fig_graph(), TTIM) == []
+        assert check2(fig_graph()) == []
 
     def test_instance_violation(self):
         graph = fig_graph()
@@ -87,7 +100,7 @@ class TestInternalSchema:
             for e in graph.elements.values()
         ]
         graph, _ = build_graph(elements)
-        out = check_internal_schema_correctness(graph, TTIM)
+        out = check2(graph)
         (v,) = errors(out)
         assert v.subject_uid == "OI_ETH"
         assert v.check_id == CHECK_INTERNAL_SCHEMA
@@ -102,7 +115,7 @@ class TestInternalSchema:
             for e in graph.elements.values()
         ]
         graph, _ = build_graph(elements)
-        out = errors(check_internal_schema_correctness(graph, TTIM))
+        out = errors(check2(graph))
         assert len(out) == 1
         assert out[0].subject_uid == "ST_ETH"
 
@@ -114,7 +127,7 @@ class TestInternalSchema:
             for e in graph.elements.values()
         ]
         graph, _ = build_graph(elements)
-        out = errors(check_internal_schema_correctness(graph, TTIM))
+        out = errors(check2(graph))
         assert "no fenced JSON" in out[0].message
 
     def test_missing_instance_body(self):
@@ -126,7 +139,7 @@ class TestInternalSchema:
             for e in graph.elements.values()
         ]
         graph, _ = build_graph(elements)
-        out = errors(check_internal_schema_correctness(graph, TTIM))
+        out = errors(check2(graph))
         assert out[0].subject_uid == "OI_ETH"
 
     def test_ambiguous_schema_link_flagged(self):
@@ -139,13 +152,13 @@ class TestInternalSchema:
             for e in graph.elements.values()
         ]
         graph, _ = build_graph(elements)
-        out = errors(check_internal_schema_correctness(graph, TTIM))
+        out = errors(check2(graph))
         assert "ambiguous" in out[0].message
 
 
 class TestSemanticEquivalence:
     def test_clean_fixture(self):
-        out = check_semantic_equivalence(fig_graph(), TTIM, CONFIG)
+        out = check3(fig_graph(), CONFIG)
         assert errors(out) == []
 
     def test_equivalent_despite_annotations(self):
@@ -156,7 +169,7 @@ class TestSemanticEquivalence:
                 "model_latency": {"type": "number", "description": "model budget"},
             },
         }
-        assert errors(check_semantic_equivalence(fig_graph(), TTIM, config)) == []
+        assert errors(check3(fig_graph(), config)) == []
 
     def test_constraint_mismatch(self):
         config = {
@@ -166,14 +179,14 @@ class TestSemanticEquivalence:
                 "model_latency": {"type": "number"},
             },
         }
-        out = errors(check_semantic_equivalence(fig_graph(), TTIM, config))
+        out = errors(check3(fig_graph(), config))
         assert len(out) == 1
         assert out[0].subject_uid == "OI_ETH"
         assert "minimum" in out[0].message  # quotes both canonical forms
 
     def test_unresolvable_placement(self):
         config = {"type": "object", "properties": {"model_latency": {"type": "number"}}}
-        out = errors(check_semantic_equivalence(fig_graph(), TTIM, config))
+        out = errors(check3(fig_graph(), config))
         assert len(out) == 1
         assert "unresolvable" in out[0].message
 
@@ -186,7 +199,7 @@ class TestSemanticEquivalence:
             for e in graph.elements.values()
         ]
         graph, _ = build_graph(elements)
-        out = check_semantic_equivalence(graph, TTIM, CONFIG)
+        out = check3(graph, CONFIG)
         warnings = [v for v in out if v.severity == "warning"]
         assert any(v.subject_uid == "OI_ETH" and "placement" in v.message for v in warnings)
 
@@ -199,7 +212,7 @@ class TestSemanticEquivalence:
                 "gpu_memory": {"type": "number"},
             },
         }
-        out = check_semantic_equivalence(fig_graph(), TTIM, config)
+        out = check3(fig_graph(), config)
         warnings = [v for v in out if v.severity == "warning"]
         assert any("gpu_memory" in v.message for v in warnings)
         assert errors(out) == []
@@ -207,7 +220,7 @@ class TestSemanticEquivalence:
 
 class TestRunAll:
     def test_clean_report(self):
-        report = run_all_checks(fig_graph(), TTIM, CONFIG)
+        report = run_all(fig_graph(), CONFIG)
         assert report.passed
         assert all(count == (0, 0) for count in report.counts.values())
 
@@ -222,7 +235,7 @@ class TestRunAll:
         graph, _ = build_graph(elements)
         config = json.loads(json.dumps(CONFIG))
         config["properties"]["ethernet_latency"]["minimum"] = 0
-        report = run_all_checks(graph, TTIM, config)
+        report = run_all(graph, config)
         assert not report.passed
         assert report.counts[CHECK_METAMODEL][0] == 1
         assert report.counts[CHECK_INTERNAL_SCHEMA][0] == 1
@@ -230,20 +243,18 @@ class TestRunAll:
 
     def test_sorting_stable(self):
         graph = fig_graph([mk_element("BAD", "reqirement", line=20)])
-        a = run_all_checks(graph, TTIM, CONFIG)
-        b = run_all_checks(graph, TTIM, CONFIG)
+        a = run_all(graph, CONFIG)
+        b = run_all(graph, CONFIG)
         assert a.violations == b.violations
 
     def test_check_independence(self):
         # a metamodel failure elsewhere leaves checks 2 and 3 untouched
         dirty = fig_graph([mk_element("BAD", "reqirement", line=20)])
         clean = fig_graph()
-        assert check_internal_schema_correctness(dirty, TTIM) == \
-            check_internal_schema_correctness(clean, TTIM)
-        assert check_semantic_equivalence(dirty, TTIM, CONFIG) == \
-            check_semantic_equivalence(clean, TTIM, CONFIG)
+        assert check2(dirty) == check2(clean)
+        assert check3(dirty, CONFIG) == check3(clean, CONFIG)
 
     def test_report_yaml_serializes(self):
-        report = run_all_checks(fig_graph(), TTIM, CONFIG)
+        report = run_all(fig_graph(), CONFIG)
         text = report_to_yaml(report)
         assert "passed: true" in text

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,12 +6,37 @@ import yaml
 from click.testing import CliRunner
 
 from tracegen.cli import cli
+from tracegen.ttim import default_extended_framework, write_ttim
 
-from conftest import CONFIG_SCHEMA, repo_files, write_repo
+from tracegen import checks
+
+from conftest import CONFIG_SCHEMA, ETH_SCHEMA, repo_files, write_repo
 
 
 def run(*args):
     return CliRunner().invoke(cli, [str(a) for a in args])
+
+
+def chain_repo(tmp_path, depth):
+    """The fixture repository with a ``refines`` chain of ``depth``
+    requirements between AL1 and OI_ETH."""
+    chain = "".join(
+        f'<treqs-element id="CH{i}" type="requirement">\n'
+        f'<treqs-link type="refines" target="CH{i + 1}" />\n</treqs-element>\n'
+        for i in range(depth - 1)
+    )
+    chain += (
+        f'<treqs-element id="CH{depth - 1}" type="requirement">\n'
+        '<treqs-link type="realizes" target="OI_ETH" />\n</treqs-element>\n'
+    )
+    files = repo_files()
+    files["chain.md"] = chain
+    files["architecture.md"] = files["architecture.md"].replace(
+        '<treqs-link type="contains" target="REQ_MODEL" />',
+        '<treqs-link type="contains" target="REQ_MODEL" />\n'
+        '<treqs-link type="contains" target="CH0" />',
+    )
+    return write_repo(tmp_path, files)
 
 
 class TestCheck:
@@ -41,6 +67,14 @@ class TestCheck:
         assert result.exit_code == 2
         assert "fatal" in result.stderr
 
+    def test_config_schema_with_list_type_exit_2(self, tmp_path, fig_repo):
+        repo, _ = fig_repo
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"type": ["object"]}')
+        result = run("check", repo, "--config-schema", bad)
+        assert result.exit_code == 2
+        assert result.stderr == "fatal: invalid type ['object'] (at <root>)\n"
+
     def test_non_utf8_config_schema_exit_2(self, tmp_path, fig_repo):
         repo, _ = fig_repo
         bad = tmp_path / "bad.json"
@@ -67,6 +101,46 @@ class TestCheck:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"fatal: TTIM file is {reason}")
         assert result.stderr.count("\n") == 1
+
+    def test_report_into_missing_directory_exit_2(self, fig_repo, tmp_path):
+        repo, schema = fig_repo
+        report = tmp_path / "nodir" / "r.yaml"
+        result = run("check", repo, "--config-schema", schema, "--report", report)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("fatal: ")
+        assert result.stderr.count("\n") == 1
+        assert "r.yaml" in result.stderr
+
+    @pytest.mark.parametrize(
+        "literal, schema, message",
+        [
+            ("NaN", ETH_SCHEMA, "invalid JSON in fenced block: NaN is not a JSON value"),
+            ("Infinity", ETH_SCHEMA,
+             "invalid JSON in fenced block: Infinity is not a JSON value"),
+            ("-Infinity", ETH_SCHEMA,
+             "invalid JSON in fenced block: -Infinity is not a JSON value"),
+            ("1e400", {"type": "integer"},
+             "instance violates schema at <root>: type: expected integer, got number"),
+            ("1" + "0" * 400, {"type": "integer", "maximum": 100},
+             "instance violates schema at <root>: maximum: 1" + "0" * 400 + " > 100"),
+            ("1" * 5000, ETH_SCHEMA, "invalid JSON in fenced block: Exceeds the limit"),
+            ("[" * 100000, ETH_SCHEMA, "invalid JSON in fenced block: maximum recursion"),
+        ],
+        ids=["nan", "infinity", "minus-infinity", "1e400", "401-digits", "5000-digits", "deep"],
+    )
+    def test_out_of_range_values_are_check_2_errors(self, tmp_path, literal, schema, message):
+        files = repo_files(oi_eth_value=literal)
+        files["optimizer.md"] = files["optimizer.md"].replace(
+            json.dumps(ETH_SCHEMA), json.dumps(schema), 1)
+        config = json.loads(json.dumps(CONFIG_SCHEMA))
+        config["properties"]["ethernet_latency"] = schema
+        repo, config_path = write_repo(tmp_path, files, config)
+        result = run("check", repo, "--config-schema", config_path)
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: internal_schema: optimizer.md:")
+        assert line.split(": ", 3)[3].startswith(message)
 
     def test_report_written(self, fig_repo, tmp_path):
         repo, schema = fig_repo
@@ -171,6 +245,78 @@ class TestGenerate:
         data = yaml.safe_load(result.stdout)
         assert data["optimizer_inputs"] == []
 
+    def test_input_without_optional_schema_link_exit_1(self, tmp_path):
+        # a TTIM may make the schema link optional: checks then pass, but an
+        # input reachable without that link has no schema to emit
+        base = default_extended_framework()
+        ttim = dataclasses.replace(base, link_types=tuple(
+            dataclasses.replace(lt, required=False) if lt.name == base.schema_link else lt
+            for lt in base.link_types
+        ))
+        ttim_path = tmp_path / "ttim.yaml"
+        ttim_path.write_text(write_ttim(ttim), encoding="utf-8")
+        files = repo_files()
+        files["optimizer.md"] = files["optimizer.md"].replace(
+            '<treqs-link type="describedBy" target="ST_ETH" />\n', "")
+        repo, schema = write_repo(tmp_path, files)
+        result = run("generate", repo, "--config-schema", schema, "--ttim", ttim_path)
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        error_lines = [l for l in result.stderr.splitlines() if l.startswith("error:")]
+        assert len(error_lines) == 1
+        assert "OI_ETH" in error_lines[0]
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_report_into_missing_directory_exit_2(self, fig_repo, tmp_path):
+        repo, schema = fig_repo
+        out = tmp_path / "out.yaml"
+        report = tmp_path / "nodir" / "r.yaml"
+        result = run(
+            "generate", repo, "--config-schema", schema, "--report", report, "--out", out
+        )
+        assert result.exit_code == 2
+        assert result.stderr.startswith("fatal: ")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_bodies_parsed_once_per_input(self, tmp_path, monkeypatch):
+        # RS1 reaches OI_ETH through three levels, so three trace paths share
+        # one input; its schema and value are each parsed once
+        files = repo_files()
+        files["scenarios.md"] = files["scenarios.md"].replace(
+            '<treqs-link type="scopes" target="AL1" />',
+            '<treqs-link type="scopes" target="AL1" />\n'
+            '<treqs-link type="scopes" target="AL2" />\n'
+            '<treqs-link type="scopes" target="AL3" />',
+        )
+        for level in ("AL2", "AL3"):
+            files["architecture.md"] += (
+                f'<treqs-element id="{level}" type="abstraction-level">\n'
+                '<treqs-link type="contains" target="REQ_ETH" />\n</treqs-element>\n'
+            )
+        repo, schema = write_repo(tmp_path, files)
+        parsed = []
+        real = checks.extract_json_body
+        monkeypatch.setattr(
+            checks, "extract_json_body", lambda e: parsed.append(e.uid) or real(e)
+        )
+        result = run("generate", repo, "--config-schema", schema)
+        assert result.exit_code == 0, result.stderr
+        uids = [r["uid"] for r in yaml.safe_load(result.stdout)["optimizer_inputs"]]
+        assert uids == ["OI_ETH"] * 3 + ["OI_MODEL"]
+        assert sorted(parsed) == ["OI_ETH", "OI_MODEL", "ST_ETH", "ST_MODEL"]
+
+    def test_refines_chain_past_the_recursion_limit(self, tmp_path):
+        repo, schema = chain_repo(tmp_path, 1200)
+        result = run("generate", repo, "--config-schema", schema)
+        assert result.exit_code == 0, result.stderr
+        # three records with 4, 4 and 1,203 trace nodes (RS1, AL1, the chain,
+        # OI_ETH), one link fewer each; counted on the text, as loading a
+        # 1,200-entry trace with PyYAML takes a second
+        assert result.stdout.count("\n  - link_to_next: ") == 3 + 3 + 1202
+        assert all(f"    uid: CH{i}\n" in result.stdout for i in range(1200))
+
     def test_max_paths_cap(self, fig_repo):
         repo, schema = fig_repo
         result = run(
@@ -202,6 +348,12 @@ class TestListScenarios:
         result = run("list-scenarios", tmp_path / "repo", "--config-schema", schema)
         assert result.exit_code == 0
         assert result.stdout == ""
+
+    def test_refines_chain_past_the_recursion_limit(self, tmp_path):
+        repo, schema = chain_repo(tmp_path, 1200)
+        result = run("list-scenarios", repo, "--config-schema", schema)
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == "RS1\tNight driving\t3\n"
 
     def test_counts_match_generate(self, fig_repo):
         repo, schema = fig_repo

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from tracegen import emit
-from tracegen.checks import report_to_yaml, run_all_checks
+from tracegen.checks import report_to_yaml, resolve_optimizer_inputs, run_all_checks
 from tracegen.emit import (
     IntermediaryDocument,
     dump_yaml,
@@ -32,7 +32,7 @@ CONFIG = {
 def fig_document():
     graph = fig_graph()
     results = [traverse_from_scenario(graph, TTIM, "RS1")]
-    records = collect_optimizer_inputs(results, graph, TTIM)
+    records = collect_optimizer_inputs(results, graph, TTIM, resolve_optimizer_inputs(graph, TTIM))
     return IntermediaryDocument(config_schema=CONFIG, optimizer_inputs=records), graph
 
 
@@ -179,7 +179,7 @@ class TestDumpYaml:
         monkeypatch.setattr(yaml, "dump", spy)
         doc, graph = fig_document()
         emit_yaml(doc)
-        report_to_yaml(run_all_checks(graph, TTIM, CONFIG))
+        report_to_yaml(run_all_checks(graph, TTIM, CONFIG, resolve_optimizer_inputs(graph, TTIM)))
         rng = random.Random(7)
         generated = {
             f"key {i}": [random_string(rng, ASCII, 130) for _ in range(5)] for i in range(50)

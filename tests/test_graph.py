@@ -1,9 +1,8 @@
 import random
 
-from tracegen.graph import build_graph, detect_cycles, find_by_type
+from tracegen.graph import build_graph, find_by_type
 
 from conftest import mk_element
-from oracles import brute_force_sccs
 
 
 class TestBuildGraph:
@@ -98,66 +97,3 @@ class TestFindByType:
             all_uids |= set(got)
         assert all_uids == set(graph.elements)
 
-
-def random_graph(rng, n):
-    elements = []
-    for i in range(n):
-        links = []
-        for j in range(n):
-            if i != j and rng.random() < 0.2:
-                links.append(("l", f"N{j:02d}"))
-        if rng.random() < 0.1:
-            links.append(("l", f"N{i:02d}"))  # self loop
-        elements.append(mk_element(f"N{i:02d}", "t", links=links, line=i + 1))
-    graph, _ = build_graph(elements)
-    return graph
-
-
-class TestDetectCycles:
-    def test_two_cycle(self):
-        graph, _ = build_graph(
-            [
-                mk_element("A", "t", links=[("l", "B")]),
-                mk_element("B", "t", links=[("l", "A")], line=2),
-            ]
-        )
-        assert detect_cycles(graph) == [["A", "B"]]
-
-    def test_dag_has_no_cycles(self):
-        graph, _ = build_graph(
-            [
-                mk_element("A", "t", links=[("l", "B")]),
-                mk_element("B", "t", links=[("l", "C")], line=2),
-                mk_element("C", "t", line=3),
-            ]
-        )
-        assert detect_cycles(graph) == []
-
-    def test_self_loop(self):
-        graph, _ = build_graph([mk_element("A", "t", links=[("l", "A")])])
-        assert detect_cycles(graph) == [["A"]]
-
-    def test_matches_scc_oracle_on_random_graphs(self):
-        rng = random.Random(42)
-        for _ in range(60):
-            graph = random_graph(rng, rng.randint(2, 10))
-            cycles = detect_cycles(graph)
-            sccs = brute_force_sccs(sorted(graph.elements), graph.edges)
-            big_sccs = [s for s in sccs if len(s) >= 2]
-            self_loops = {s for s, _, t in graph.edges if s == t}
-
-            multi = [c for c in cycles if len(c) >= 2]
-            singles = [c for c in cycles if len(c) == 1]
-            assert len(multi) == len(big_sccs)
-            assert {c[0] for c in singles} == self_loops
-            edge_set = {(s, t) for s, _, t in graph.edges}
-            for cycle in multi:
-                assert cycle[0] == min(cycle)
-                assert len(set(cycle)) == len(cycle)
-                # every consecutive hop (and the wrap-around) is a real edge
-                for a, b in zip(cycle, cycle[1:] + [cycle[0]]):
-                    assert (a, b) in edge_set
-                # cycle lies within exactly one non-trivial SCC
-                assert sum(1 for s in big_sccs if set(cycle) <= s) == 1
-            # one representative per SCC
-            assert len({frozenset(next(s for s in big_sccs if set(c) <= s)) for c in multi}) == len(multi)

@@ -30,6 +30,11 @@ class TestParseSchema:
         with pytest.raises(UnknownKeyword, match="oneOf"):
             parse_schema({"type": "number", "oneOf": []})
 
+    @pytest.mark.parametrize("declared", [["number"], {"a": 1}])
+    def test_non_string_type_rejected(self, declared):
+        with pytest.raises(InvalidKeywordValue, match="invalid type"):
+            parse_schema({"type": declared})
+
     def test_required_names_unknown_property(self):
         with pytest.raises(RequiredNamesUnknownProperty):
             parse_schema({"type": "object", "required": ["x"]})

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from tracegen.errors import AmbiguousSchemaLink, NotAScenario, PathLimitExceeded
+from tracegen.checks import CHECK_INTERNAL_SCHEMA, resolve_optimizer_inputs
+from tracegen.errors import NotAScenario, PathLimitExceeded, TracegenError
 from tracegen.graph import build_graph
 from tracegen.traversal import (
     collect_optimizer_inputs,
@@ -158,11 +159,15 @@ class TestOracleEquivalence:
             assert mine == oracle
 
 
+def collect(results, graph):
+    return collect_optimizer_inputs(results, graph, TTIM, resolve_optimizer_inputs(graph, TTIM))
+
+
 class TestCollect:
     def test_records_resolve_schema(self):
         graph = fig_graph()
         results = [traverse_from_scenario(graph, TTIM, "RS1")]
-        records = collect_optimizer_inputs(results, graph, TTIM)
+        records = collect(results, graph)
         assert [r.uid for r in records] == ["OI_ETH", "OI_MODEL"]
         assert records[0].schema == {"type": "number"}
         assert records[0].value == 20
@@ -178,9 +183,17 @@ class TestCollect:
         graph = fig_graph()
         elements = [extra_link_oi if e.uid == "OI_ETH" else e for e in graph.elements.values()]
         graph, _ = build_graph(elements)
+        resolution = resolve_optimizer_inputs(graph, TTIM)["OI_ETH"]
+        assert not resolution.complete
+        assert resolution.schema is None
+        (violation,) = resolution.violations
+        assert violation.check_id == CHECK_INTERNAL_SCHEMA
+        assert violation.severity == "error"
+        assert violation.subject_uid == "OI_ETH"
+        assert violation.message == "ambiguous schema link: 2 'describedBy' edges"
         results = [traverse_from_scenario(graph, TTIM, "RS1")]
-        with pytest.raises(AmbiguousSchemaLink):
-            collect_optimizer_inputs(results, graph, TTIM)
+        with pytest.raises(TracegenError, match="OI_ETH"):
+            collect(results, graph)
 
     def test_diamond_yields_two_records_for_one_input(self):
         # two scenarios reaching the same optimizer input
@@ -195,7 +208,33 @@ class TestCollect:
         ]
         graph, _ = build_graph(elements)
         results = [traverse_from_scenario(graph, TTIM, uid) for uid in ("RS1", "RS2")]
-        records = collect_optimizer_inputs(results, graph, TTIM)
+        records = collect(results, graph)
         assert [r.uid for r in records] == ["OI1", "OI1"]
         assert records[0].scenario_uid == "RS1"
         assert records[1].scenario_uid == "RS2"
+        # both records share the one resolved schema and value
+        assert records[0].schema is records[1].schema
+
+
+class TestDeepChain:
+    def test_chain_past_the_recursion_limit(self):
+        depth = 1500
+        elements = [
+            mk_element("RS1", "runtime-scenario", links=[("scopes", "AL1")]),
+            mk_element("AL1", "abstraction-level", links=[("contains", "R0000")], line=2),
+        ]
+        for i in range(depth):
+            nxt = ("refines", f"R{i + 1:04d}") if i + 1 < depth else ("realizes", "OI1")
+            # a back edge on every requirement: each is pruned once, in DFS order
+            links = [nxt, ("refines", "R0000")] if i else [nxt]
+            elements.append(mk_element(f"R{i:04d}", "requirement", links=links, line=3 + i))
+        elements.append(mk_element("OI1", "OptimizerInput", line=depth + 3))
+        graph, _ = build_graph(elements)
+        result = traverse_from_scenario(graph, TTIM, "RS1")
+        (path,) = result.paths
+        assert len(path.nodes) == depth + 3
+        assert path.nodes[0] == "OI1" and path.nodes[-1] == "RS1"
+        assert [d.message for d in result.diagnostics] == [
+            f"cycle edge R{i:04d} -refines-> R0000 pruned during traversal"
+            for i in range(1, depth)
+        ]
