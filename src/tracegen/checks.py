@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
-from tracegen.elements import RawElement, extract_json_body, json_fence_count
+from tracegen.elements import RawElement, first_json_fence, parse_json
 from tracegen.emit import dump_yaml
 from tracegen.errors import InvalidJson, PointerUnresolvable, SchemaError
 from tracegen.graph import TraceGraph, find_by_type
@@ -150,17 +151,19 @@ def _resolve(graph: TraceGraph, ttim: TtimDefinition, oi_uid: str) -> Resolution
         found.append(_violation(CHECK_INTERNAL_SCHEMA, severity, graph, uid, message))
 
     def read(element: RawElement, missing: str, parse) -> tuple[bool, Any]:
-        fences = json_fence_count(element.body)
-        if fences == 0:
+        text, more = first_json_fence(element)
+        if text is None:
             note("error", element.uid, missing)
             return False, None
-        if fences > 1:
+        if more:
             note("warning", element.uid, "multiple fenced JSON blocks; only the first is used")
         try:
-            return True, parse(extract_json_body(element))
-        except (InvalidJson, SchemaError) as exc:
+            return True, parse(parse_json(text))
+        except InvalidJson as exc:
+            note("error", element.uid, f"invalid JSON in fenced block: {exc}")
+        except SchemaError as exc:
             note("error", element.uid, str(exc))
-            return False, None
+        return False, None
 
     targets = [t for lt, t in graph.outgoing(oi_uid) if lt == ttim.schema_link]
     if not targets:
@@ -259,13 +262,13 @@ def check_semantic_equivalence(
                     f"but requirement has {canonical_text(oi_schema)}",
                 )
             )
+    # placements under pointer + "/" sort together: test the first at or after it
+    ordered = sorted(placements)
     for pointer, _ in collect_property_paths(config_schema):
-        if pointer == "":
+        if pointer == "" or pointer in placements:
             continue
-        targeted = pointer in placements or any(
-            p.startswith(pointer + "/") for p in placements
-        )
-        if not targeted:
+        at = bisect_left(ordered, pointer + "/")
+        if at == len(ordered) or not ordered[at].startswith(pointer + "/"):
             out.append(
                 Violation(
                     check_id=CHECK_SEMANTIC_EQUIVALENCE,

@@ -7,7 +7,7 @@ standard error.
 
 from __future__ import annotations
 
-import json
+import json  # noqa: F401 (perfbench/tracer.py wraps cli.json.loads by name)
 import sys
 from pathlib import Path
 
@@ -15,9 +15,9 @@ import click
 
 from tracegen import checks as checks_mod
 from tracegen import elements as elements_mod
-from tracegen.elements import DEFAULT_GLOBS, ParseDiagnostic
+from tracegen.elements import DEFAULT_GLOBS, ParseDiagnostic, parse_json
 from tracegen.emit import IntermediaryDocument, emit_plantuml, emit_yaml
-from tracegen.errors import TracegenError
+from tracegen.errors import InvalidJson, TracegenError
 from tracegen.graph import TraceGraph, build_graph
 from tracegen.schema import SchemaDoc, parse_schema
 from tracegen.traversal import (
@@ -53,9 +53,9 @@ def _load_pipeline(
     input problems (mapped to exit 2 by the callers)."""
     ttim = load_ttim(ttim_path) if ttim_path else default_extended_framework()
     try:
-        config_doc = json.loads(Path(config_schema_path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TracegenError(f"config schema is not valid JSON: {exc}") from exc
+        config_doc = parse_json(Path(config_schema_path).read_text(encoding="utf-8"))
+    except InvalidJson as exc:  # a JSONDecodeError cause also gives the position
+        raise TracegenError(f"config schema is not valid JSON: {exc.__cause__ or exc}") from exc
     except UnicodeDecodeError as exc:
         raise TracegenError(f"config schema is not UTF-8: {exc}") from exc
     config_schema = parse_schema(config_doc)
@@ -204,7 +204,11 @@ def cmd_generate(
         sys.exit(EXIT_CHECK_FAILED)
 
     doc = IntermediaryDocument(config_schema=config_schema, optimizer_inputs=records)
-    text = emit_yaml(doc) if output_format == "yaml" else emit_plantuml(doc, graph)
+    try:
+        text = emit_yaml(doc) if output_format == "yaml" else emit_plantuml(doc, graph)
+    except RecursionError:  # PyYAML's representer recurses once per nesting level
+        _warn("fatal: a schema or value is nested too deeply to write as YAML")
+        sys.exit(EXIT_OPERATIONAL)
     if output_path:
         _write(output_path, text)
     else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -248,30 +249,25 @@ def _validate_open(
     return attrs
 
 
-def json_fence_count(body: str) -> int:
-    return len(_FENCE_RE.findall(body))
+def first_json_fence(element: RawElement) -> tuple[str | None, bool]:
+    """The text of the first fenced JSON block in the element body (None when
+    there is none) and whether a second block follows, from one scan."""
+    fences = _FENCE_RE.finditer(element.body)
+    first = next(fences, None)
+    return (first.group(1) if first else None), next(fences, None) is not None
 
 
-def extract_json_body(element: RawElement):
-    """Parse the first fenced JSON block in the element body, or None.
-
-    Raises InvalidJson with position information when a fence exists but its
-    content is not valid JSON.
-    """
-    match = _FENCE_RE.search(element.body)
-    if match is None:
-        return None
+def parse_json(text: str):
+    """Parse RFC 8259 JSON, for fenced blocks and the config schema alike. Any
+    other text raises InvalidJson: NaN, +/-Infinity, a number past a float's
+    range, an integer past int()'s digit limit, nesting past the recursion limit."""
     try:
-        return json.loads(
-            match.group(1), parse_constant=_reject_constant, object_pairs_hook=_shared_strings
-        )
+        return json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant,
+                          object_pairs_hook=_shared_strings)
     except json.JSONDecodeError as exc:
-        raise InvalidJson(
-            f"invalid JSON in fenced block: {exc.msg}", line=exc.lineno, column=exc.colno
-        ) from exc
+        raise InvalidJson(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except (ValueError, RecursionError) as exc:
-        # an integer past the digit limit of int(), or nesting past the recursion limit
-        raise InvalidJson(f"invalid JSON in fenced block: {exc}") from exc
+        raise InvalidJson(str(exc)) from exc
 
 
 def _shared_strings(pairs: list[tuple[str, object]]) -> dict:
@@ -281,6 +277,12 @@ def _shared_strings(pairs: list[tuple[str, object]]) -> dict:
     return {sys.intern(k): sys.intern(v) if type(v) is str else v for k, v in pairs}
 
 
+def _finite_float(literal: str) -> float:
+    if math.isinf(value := float(literal)):
+        raise InvalidJson(f"number {literal} is out of range")
+    return value
+
+
 def _reject_constant(name: str):
     # json.loads accepts NaN and +/-Infinity; RFC 8259 JSON does not
-    raise InvalidJson(f"invalid JSON in fenced block: {name} is not a JSON value")
+    raise InvalidJson(f"{name} is not a JSON value")

@@ -104,3 +104,12 @@ def recursive_property_paths(schema):
 
     walk("", schema)
     return sorted(results) if results else [""]
+
+
+def untargeted_properties(pointers, placements):
+    """Property pointers that no placement equals or lies beneath: the plain
+    scan of every placement for every property, as check 3 first did it."""
+    return [
+        p for p in pointers
+        if p != "" and not (p in placements or any(q.startswith(p + "/") for q in placements))
+    ]

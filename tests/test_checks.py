@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 from tracegen.checks import (
     CHECK_INTERNAL_SCHEMA,
@@ -12,9 +14,11 @@ from tracegen.checks import (
     run_all_checks,
 )
 from tracegen.graph import build_graph
+from tracegen.schema import escape_token
 from tracegen.ttim import default_extended_framework
 
 from conftest import mk_element
+from oracles import recursive_property_paths, untargeted_properties
 from test_traversal import fig_graph, schema_body
 
 TTIM = default_extended_framework()
@@ -216,6 +220,62 @@ class TestSemanticEquivalence:
         warnings = [v for v in out if v.severity == "warning"]
         assert any("gpu_memory" in v.message for v in warnings)
         assert errors(out) == []
+
+    # Names whose escaped tokens hold ~0 and ~1, and characters that sort
+    # before "/" ("!", "-", ".") next to prefix pairs such as a / ab.
+    NAMES = ["a", "ab", "a!", "a-", "a.", "a b", "a~", "a/", "~", "/", "~1", "b", "b.c"]
+
+    def random_config(self, rng, depth=0):
+        names = rng.sample(self.NAMES, rng.randint(0, 4 if depth < 3 else 0))
+        return {"type": "object",
+                "properties": {n: self.random_config(rng, depth + 1) for n in names}}
+
+    def untargeted_warnings(self, config, placements):
+        graph, _ = build_graph([
+            mk_element(f"OI{i}", "OptimizerInput", placement=p, line=i + 1)
+            for i, p in enumerate(placements)
+        ])
+        return [v.message for v in check3(graph, config) if v.subject_uid is None]
+
+    def test_untargeted_properties_match_the_quadratic_scan(self):
+        rng = random.Random(20241)
+        for _ in range(400):
+            config = self.random_config(rng)
+            pointers = recursive_property_paths(config)
+            placements = set()
+            for _ in range(rng.randint(0, 6)):
+                if pointers != [""] and rng.random() < 0.5:
+                    base = rng.choice(pointers)
+                else:  # a pointer the config schema may not hold
+                    base = "".join("/properties/" + escape_token(rng.choice(self.NAMES))
+                                   for _ in range(rng.randint(1, 3)))
+                placements.add(base + rng.choice(["", "", "/type", "/properties", "/items"]))
+            expected = [
+                f"configuration property {p} not derived from requirements"
+                for p in untargeted_properties(pointers, placements)
+            ]
+            assert self.untargeted_warnings(config, sorted(placements)) == expected
+
+    def test_untargeted_property_scan_is_not_quadratic(self):
+        # 20,200 properties and 20,000 placements: the quadratic scan makes
+        # 10,000 x 20,000 prefix tests here and takes over a minute
+        config = {"type": "object", "properties": {
+            f"g{i}": {"type": "object", "properties": {
+                f"p{j}": {"type": "number"} for j in range(100)}}
+            for i in range(200)
+        }}
+        placements = [
+            f"/properties/g{i}/properties/p{j}/type" if j % 2 == 0
+            else f"/properties/g{i}/properties/q{j}"
+            for i in range(200) for j in range(100)
+        ]
+        start = time.perf_counter()
+        warnings = self.untargeted_warnings(config, placements)
+        assert time.perf_counter() - start < 10
+        assert warnings == sorted(
+            f"configuration property /properties/g{i}/properties/p{j} not derived from requirements"
+            for i in range(200) for j in range(1, 100, 2)
+        )
 
 
 class TestRunAll:

@@ -75,6 +75,23 @@ class TestCheck:
         assert result.exit_code == 2
         assert result.stderr == "fatal: invalid type ['object'] (at <root>)\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"type": "number", "maximum": NaN}', "NaN is not a JSON value"),
+            ('{"type": "number", "maximum": 1e400}', "number 1e400 is out of range"),
+        ],
+        ids=["nan", "1e400"],
+    )
+    def test_non_finite_config_schema_exit_2(self, tmp_path, fig_repo, text, message):
+        repo, _ = fig_repo
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        result = run("check", repo, "--config-schema", bad)
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == f"fatal: config schema is not valid JSON: {message}\n"
+
     def test_non_utf8_config_schema_exit_2(self, tmp_path, fig_repo):
         repo, _ = fig_repo
         bad = tmp_path / "bad.json"
@@ -120,13 +137,16 @@ class TestCheck:
             ("-Infinity", ETH_SCHEMA,
              "invalid JSON in fenced block: -Infinity is not a JSON value"),
             ("1e400", {"type": "integer"},
-             "instance violates schema at <root>: type: expected integer, got number"),
+             "invalid JSON in fenced block: number 1e400 is out of range"),
+            ("1e400", {"type": "number", "minimum": 0},
+             "invalid JSON in fenced block: number 1e400 is out of range"),
             ("1" + "0" * 400, {"type": "integer", "maximum": 100},
              "instance violates schema at <root>: maximum: 1" + "0" * 400 + " > 100"),
             ("1" * 5000, ETH_SCHEMA, "invalid JSON in fenced block: Exceeds the limit"),
             ("[" * 100000, ETH_SCHEMA, "invalid JSON in fenced block: maximum recursion"),
         ],
-        ids=["nan", "infinity", "minus-infinity", "1e400", "401-digits", "5000-digits", "deep"],
+        ids=["nan", "infinity", "minus-infinity", "1e400", "1e400-number", "401-digits",
+             "5000-digits", "deep"],
     )
     def test_out_of_range_values_are_check_2_errors(self, tmp_path, literal, schema, message):
         files = repo_files(oi_eth_value=literal)
@@ -163,6 +183,25 @@ class TestGenerate:
         result = run("generate", repo, "--config-schema", schema, "--format", "plantuml")
         assert result.exit_code == 0
         assert result.stdout.startswith("@startuml")
+
+    def test_value_too_deep_for_yaml_exit_2(self, tmp_path):
+        # 500 nested arrays pass the checks, but PyYAML's representer recurses
+        # once per level and cannot write them
+        schema = {"type": "array"}
+        files = repo_files(oi_eth_value="[" * 500 + "]" * 500)
+        files["optimizer.md"] = files["optimizer.md"].replace(
+            json.dumps(ETH_SCHEMA), json.dumps(schema), 1)
+        config = json.loads(json.dumps(CONFIG_SCHEMA))
+        config["properties"]["ethernet_latency"] = schema
+        repo, config_path = write_repo(tmp_path, files, config)
+        assert run("check", repo, "--config-schema", config_path).exit_code == 0
+        result = run("generate", repo, "--config-schema", config_path, "--format", "yaml")
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == "fatal: a schema or value is nested too deeply to write as YAML\n"
+        assert result.stdout == ""
+        result = run("generate", repo, "--config-schema", config_path, "--format", "plantuml")
+        assert result.exit_code == 0, result.stderr
 
     def test_refuses_on_check_errors(self, tmp_path):
         config = json.loads(json.dumps(CONFIG_SCHEMA))
@@ -297,9 +336,9 @@ class TestGenerate:
             )
         repo, schema = write_repo(tmp_path, files)
         parsed = []
-        real = checks.extract_json_body
+        real = checks.first_json_fence
         monkeypatch.setattr(
-            checks, "extract_json_body", lambda e: parsed.append(e.uid) or real(e)
+            checks, "first_json_fence", lambda e: parsed.append(e.uid) or real(e)
         )
         result = run("generate", repo, "--config-schema", schema)
         assert result.exit_code == 0, result.stderr

@@ -3,9 +3,9 @@ import pytest
 from tracegen.elements import (
     SourceFile,
     _line_starts,
-    extract_json_body,
-    json_fence_count,
+    first_json_fence,
     parse_file,
+    parse_json,
     scan_repository,
 )
 from tracegen.errors import InvalidJson, RootNotFound
@@ -142,28 +142,55 @@ class TestJsonBody:
         assert diagnostics == []
         return elements[0]
 
+    def read(self, body):
+        """The first fenced block parsed, and whether a second one follows."""
+        text, more = first_json_fence(self.element_with_body(body))
+        return (None if text is None else parse_json(text)), more
+
     def test_fenced_block_parsed(self):
-        e = self.element_with_body('```json\n{"value": 5}\n```')
-        assert extract_json_body(e) == {"value": 5}
+        assert self.read('```json\n{"value": 5}\n```') == ({"value": 5}, False)
 
     def test_untagged_fence_parsed(self):
-        e = self.element_with_body("```\n42\n```")
-        assert extract_json_body(e) == 42
+        assert self.read("```\n42\n```") == (42, False)
 
     def test_prose_only_is_absent(self):
-        e = self.element_with_body("just words")
-        assert extract_json_body(e) is None
-        assert json_fence_count(e.body) == 0
+        assert first_json_fence(self.element_with_body("just words")) == (None, False)
 
     def test_invalid_json_raises(self):
-        e = self.element_with_body('```json\n{"value": }\n```')
-        with pytest.raises(InvalidJson):
-            extract_json_body(e)
+        with pytest.raises(InvalidJson) as caught:
+            self.read('```json\n{"value": }\n```')
+        assert (str(caught.value), caught.value.line, caught.value.column) == (
+            "Expecting value", 1, 11)
 
     def test_first_of_many_blocks_wins(self):
-        e = self.element_with_body("```json\n1\n```\ntext\n```json\n2\n```")
-        assert extract_json_body(e) == 1
-        assert json_fence_count(e.body) == 2
+        assert self.read("```json\n1\n```\ntext\n```json\n2\n```") == (1, True)
+
+    def test_second_block_found_after_an_invalid_first(self):
+        text, more = first_json_fence(self.element_with_body("```\n{\n```\n```\n2\n```"))
+        assert (text, more) == ("{\n", True)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("NaN", "NaN is not a JSON value"),
+            ("[-Infinity]", "-Infinity is not a JSON value"),
+            ("1e400", "number 1e400 is out of range"),
+            ('{"a": [-1.5E309]}', "number -1.5E309 is out of range"),
+            ("1" * 400 + ".0", "number " + "1" * 400 + ".0 is out of range"),
+            ("1" * 5000, "Exceeds the limit"),
+            ("[" * 100000, "maximum recursion depth exceeded"),
+        ],
+        ids=["nan", "minus-infinity", "1e400", "nested-overflow", "400-digit-float",
+             "5000-digit-int", "deep"],
+    )
+    def test_beyond_rfc_8259_is_invalid(self, text, message):
+        with pytest.raises(InvalidJson) as caught:
+            parse_json(text)
+        assert str(caught.value).startswith(message)
+
+    def test_finite_extremes_parse(self):
+        assert parse_json("[1e-400, 1.7976931348623157e308, " + "1" * 400 + "]") == [
+            0.0, 1.7976931348623157e308, int("1" * 400)]
 
 
 class TestScanRepository:
