@@ -10,6 +10,7 @@ from __future__ import annotations
 import json  # noqa: F401 (perfbench/tracer.py wraps cli.json.loads by name)
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -37,6 +38,13 @@ def _warn(message: str) -> None:
     click.echo(message, err=True)
 
 
+def _fail(message: object, code: int = EXIT_OPERATIONAL) -> NoReturn:
+    """End a failed run with one stderr line: ``fatal:`` and exit 2 for input
+    or I/O that stops the run, ``error:`` and exit 1 for a failed traversal."""
+    _warn(f"{'fatal' if code == EXIT_OPERATIONAL else 'error'}: {message}")
+    sys.exit(code)
+
+
 def _print_diagnostics(diagnostics: list[ParseDiagnostic]) -> None:
     for diag in diagnostics:
         _warn(f"{diag.severity}: {diag.file}:{diag.line}: {diag.message}")
@@ -49,19 +57,22 @@ def _load_pipeline(
     globs: tuple[str, ...],
     reverse_links: bool = False,
 ) -> tuple[TraceGraph, TtimDefinition, SchemaDoc]:
-    """Shared front half of every subcommand; raises TracegenError on fatal
-    input problems (mapped to exit 2 by the callers)."""
-    ttim = load_ttim(ttim_path) if ttim_path else default_extended_framework()
+    """Shared front half of every subcommand; a fatal input problem ends the
+    run with exit 2."""
     try:
+        ttim = load_ttim(ttim_path) if ttim_path else default_extended_framework()
+        # of the calls in this block, only reading the config schema raises
+        # InvalidJson or UnicodeDecodeError
         config_doc = parse_json(Path(config_schema_path).read_text(encoding="utf-8"))
+        config_schema = parse_schema(config_doc)
+        include = globs if globs else DEFAULT_GLOBS
+        files, diagnostics = elements_mod.scan_repository(repo_root, include)
     except InvalidJson as exc:  # a JSONDecodeError cause also gives the position
-        raise TracegenError(f"config schema is not valid JSON: {exc.__cause__ or exc}") from exc
+        _fail(f"config schema is not valid JSON: {exc.__cause__ or exc}")
     except UnicodeDecodeError as exc:
-        raise TracegenError(f"config schema is not UTF-8: {exc}") from exc
-    config_schema = parse_schema(config_doc)
-
-    include = globs if globs else DEFAULT_GLOBS
-    files, diagnostics = elements_mod.scan_repository(repo_root, include)
+        _fail(f"config schema is not UTF-8: {exc}")
+    except (TracegenError, OSError) as exc:
+        _fail(exc)
     all_elements = []
     for file in files:
         parsed, file_diags = elements_mod.parse_file(file)
@@ -80,8 +91,7 @@ def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        _warn(f"fatal: {exc}")
-        sys.exit(EXIT_OPERATIONAL)
+        _fail(exc)
 
 
 def _common_options(func):
@@ -114,6 +124,14 @@ def _common_options(func):
     return func
 
 
+_max_paths_option = click.option(
+    "--max-paths-per-scenario",
+    default=DEFAULT_MAX_PATHS,
+    show_default=True,
+    help="Abort when one scenario produces more trace paths than this.",
+)
+
+
 @click.group()
 def cli() -> None:
     """Extract traceable runtime-configuration specifications from textual
@@ -125,13 +143,9 @@ def cli() -> None:
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), help="Write the check report as YAML.")
 def cmd_check(repo_root, ttim_path, config_schema_path, globs, reverse_links, report_path) -> None:
     """Run the three quality-assurance checks."""
-    try:
-        graph, ttim, config_schema = _load_pipeline(
-            repo_root, ttim_path, config_schema_path, globs, reverse_links
-        )
-    except (TracegenError, OSError) as exc:
-        _warn(f"fatal: {exc}")
-        sys.exit(EXIT_OPERATIONAL)
+    graph, ttim, config_schema = _load_pipeline(
+        repo_root, ttim_path, config_schema_path, globs, reverse_links
+    )
     report = checks_mod.run_all_checks(
         graph, ttim, config_schema, checks_mod.resolve_optimizer_inputs(graph, ttim)
     )
@@ -154,12 +168,7 @@ def cmd_check(repo_root, ttim_path, config_schema_path, globs, reverse_links, re
 )
 @click.option("--out", "output_path", type=click.Path(dir_okay=False), help="Output file (default: stdout).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), help="Write the check report as YAML.")
-@click.option(
-    "--max-paths-per-scenario",
-    default=DEFAULT_MAX_PATHS,
-    show_default=True,
-    help="Abort when one scenario produces more trace paths than this.",
-)
+@_max_paths_option
 def cmd_generate(
     repo_root,
     ttim_path,
@@ -172,13 +181,9 @@ def cmd_generate(
     max_paths_per_scenario,
 ) -> None:
     """Emit the intermediary YAML document or the PlantUML overview."""
-    try:
-        graph, ttim, config_schema = _load_pipeline(
-            repo_root, ttim_path, config_schema_path, globs, reverse_links
-        )
-    except (TracegenError, OSError) as exc:
-        _warn(f"fatal: {exc}")
-        sys.exit(EXIT_OPERATIONAL)
+    graph, ttim, config_schema = _load_pipeline(
+        repo_root, ttim_path, config_schema_path, globs, reverse_links
+    )
 
     resolutions = checks_mod.resolve_optimizer_inputs(graph, ttim)
     report = checks_mod.run_all_checks(graph, ttim, config_schema, resolutions)
@@ -200,15 +205,13 @@ def cmd_generate(
             _print_diagnostics(result.diagnostics)
         records = collect_optimizer_inputs(results, graph, ttim, resolutions)
     except TracegenError as exc:
-        _warn(f"error: {exc}")
-        sys.exit(EXIT_CHECK_FAILED)
+        _fail(exc, EXIT_CHECK_FAILED)
 
     doc = IntermediaryDocument(config_schema=config_schema, optimizer_inputs=records)
     try:
         text = emit_yaml(doc) if output_format == "yaml" else emit_plantuml(doc, graph)
     except RecursionError:  # PyYAML's representer recurses once per nesting level
-        _warn("fatal: a schema or value is nested too deeply to write as YAML")
-        sys.exit(EXIT_OPERATIONAL)
+        _fail("a schema or value is nested too deeply to write as YAML")
     if output_path:
         _write(output_path, text)
     else:
@@ -218,26 +221,19 @@ def cmd_generate(
 
 @cli.command("list-scenarios")
 @_common_options
-@click.option(
-    "--max-paths-per-scenario", default=DEFAULT_MAX_PATHS, show_default=True
-)
+@_max_paths_option
 def cmd_list_scenarios(
     repo_root, ttim_path, config_schema_path, globs, reverse_links, max_paths_per_scenario
 ) -> None:
     """List runtime scenarios with their reachable trace-path counts."""
-    try:
-        graph, ttim, _ = _load_pipeline(
-            repo_root, ttim_path, config_schema_path, globs, reverse_links
-        )
-    except (TracegenError, OSError) as exc:
-        _warn(f"fatal: {exc}")
-        sys.exit(EXIT_OPERATIONAL)
+    graph, ttim, _ = _load_pipeline(
+        repo_root, ttim_path, config_schema_path, globs, reverse_links
+    )
     for uid in find_runtime_scenarios(graph, ttim):
         try:
             result = traverse_from_scenario(graph, ttim, uid, max_paths_per_scenario)
         except TracegenError as exc:
-            _warn(f"error: {exc}")
-            sys.exit(EXIT_CHECK_FAILED)
+            _fail(exc, EXIT_CHECK_FAILED)
         label = graph.elements[uid].label or ""
         click.echo(f"{uid}\t{label}\t{len(result.paths)}")
     sys.exit(EXIT_OK)

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from tracegen.errors import InvalidJson, RootNotFound
+from tracegen.errors import InvalidJson, TracegenError
 from tracegen.schema import is_valid_pointer
 
 DEFAULT_GLOBS = ("**/*.md", "**/*.txt")
@@ -87,11 +87,16 @@ def scan_repository(
     """
     root = Path(root)
     if not root.is_dir():
-        raise RootNotFound(f"repository root not found: {root}")
+        raise TracegenError(f"repository root not found: {root}")
     diagnostics: list[ParseDiagnostic] = []
     paths: set[Path] = set()
     for pattern in include_globs:
-        paths.update(p for p in root.glob(pattern) if p.is_file())
+        try:
+            paths.update(p for p in root.glob(pattern) if p.is_file())
+        except (NotImplementedError, ValueError, IndexError) as exc:
+            # Path.glob rejects an absolute or empty pattern and '**' inside
+            # a component; some Python versions fail on '.' with an IndexError
+            raise TracegenError(f"unsupported glob pattern {pattern!r}: {exc}") from exc
     files: list[SourceFile] = []
     for path in sorted(paths, key=lambda p: p.relative_to(root).as_posix()):
         rel = path.relative_to(root).as_posix()
@@ -265,7 +270,7 @@ def parse_json(text: str):
         return json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant,
                           object_pairs_hook=_shared_strings)
     except json.JSONDecodeError as exc:
-        raise InvalidJson(exc.msg, line=exc.lineno, column=exc.colno) from exc
+        raise InvalidJson(exc.msg) from exc  # the cause keeps the line and column
     except (ValueError, RecursionError) as exc:
         raise InvalidJson(str(exc)) from exc
 

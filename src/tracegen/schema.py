@@ -13,13 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from tracegen.errors import (
-    InvalidKeywordValue,
-    PointerSyntaxError,
-    PointerUnresolvable,
-    RequiredNamesUnknownProperty,
-    UnknownKeyword,
-)
+from tracegen.errors import PointerUnresolvable, SchemaError, TracegenError
 
 SchemaDoc = dict
 
@@ -63,48 +57,46 @@ def _is_number(value: Any) -> bool:
 def parse_schema(doc: Any, pointer: str = "") -> SchemaDoc:
     """Validate ``doc`` against the supported keyword subset.
 
-    Returns the document unchanged when valid; raises a SchemaError subclass
+    Returns the document unchanged when valid; raises a SchemaError
     naming the offending keyword and its location otherwise.
     """
     if not isinstance(doc, dict):
-        raise InvalidKeywordValue("schema must be a JSON object", pointer)
+        raise SchemaError("schema must be a JSON object", pointer)
 
     for key in doc:
         if key not in ALLOWED_KEYWORDS:
-            raise UnknownKeyword(f"unsupported keyword {key!r}", pointer)
+            raise SchemaError(f"unsupported keyword {key!r}", pointer)
 
     if "type" in doc:
         if not isinstance(doc["type"], str) or doc["type"] not in ALLOWED_TYPES:
-            raise InvalidKeywordValue(f"invalid type {doc['type']!r}", pointer)
+            raise SchemaError(f"invalid type {doc['type']!r}", pointer)
     if "properties" in doc:
         props = doc["properties"]
         if not isinstance(props, dict):
-            raise InvalidKeywordValue("properties must be an object", pointer)
+            raise SchemaError("properties must be an object", pointer)
         for name, sub in props.items():
             parse_schema(sub, f"{pointer}/properties/{escape_token(name)}")
     if "required" in doc:
         req = doc["required"]
         if not isinstance(req, list) or not all(isinstance(r, str) for r in req):
-            raise InvalidKeywordValue("required must be a list of strings", pointer)
+            raise SchemaError("required must be a list of strings", pointer)
         known = doc.get("properties", {})
         for name in req:
             if name not in known:
-                raise RequiredNamesUnknownProperty(
-                    f"required names unknown property {name!r}", pointer
-                )
+                raise SchemaError(f"required names unknown property {name!r}", pointer)
     if "items" in doc:
         parse_schema(doc["items"], f"{pointer}/items")
     if "enum" in doc:
         if not isinstance(doc["enum"], list) or not doc["enum"]:
-            raise InvalidKeywordValue("enum must be a non-empty list", pointer)
+            raise SchemaError("enum must be a non-empty list", pointer)
     for kw in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
         if kw in doc and not _is_number(doc[kw]):
-            raise InvalidKeywordValue(f"{kw} must be a number", pointer)
+            raise SchemaError(f"{kw} must be a number", pointer)
     if "minimum" in doc and "maximum" in doc and doc["minimum"] > doc["maximum"]:
-        raise InvalidKeywordValue("minimum exceeds maximum", pointer)
+        raise SchemaError("minimum exceeds maximum", pointer)
     for kw in ("description", "unit"):
         if kw in doc and not isinstance(doc[kw], str):
-            raise InvalidKeywordValue(f"{kw} must be a string", pointer)
+            raise SchemaError(f"{kw} must be a string", pointer)
     return doc
 
 
@@ -202,7 +194,7 @@ def is_valid_pointer(text: str) -> bool:
 def parse_pointer(text: str) -> list[str]:
     """Split a textual JSON Pointer into decoded reference tokens."""
     if not is_valid_pointer(text):
-        raise PointerSyntaxError(f"malformed JSON Pointer {text!r}")
+        raise TracegenError(f"malformed JSON Pointer {text!r}")
     if text == "":
         return []
     return [unescape_token(tok) for tok in text.split("/")[1:]]

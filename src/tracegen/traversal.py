@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from tracegen.elements import ParseDiagnostic
-from tracegen.errors import NotAScenario, PathLimitExceeded, TracegenError
+from tracegen.errors import TracegenError
 from tracegen.graph import TraceGraph, find_by_type
 from tracegen.schema import SchemaDoc
 from tracegen.ttim import TtimDefinition
@@ -73,7 +73,7 @@ def traverse_from_scenario(
     search terminates on cyclic graphs too.
     """
     if scenario not in graph.elements or graph.element_type(scenario) != ttim.scenario_type:
-        raise NotAScenario(f"{scenario!r} is not an element of type {ttim.scenario_type!r}")
+        raise TracegenError(f"{scenario!r} is not an element of type {ttim.scenario_type!r}")
 
     paths: list[TracePath] = []
     diagnostics: list[ParseDiagnostic] = []
@@ -84,7 +84,7 @@ def traverse_from_scenario(
 
     def record() -> None:
         if len(paths) >= max_paths:
-            raise PathLimitExceeded(
+            raise TracegenError(
                 f"scenario {scenario!r} exceeds {max_paths} trace paths"
             )
         paths.append(

@@ -19,6 +19,32 @@ CONFIG_SCHEMA = {
 }
 
 
+# the built-in meta-model in the --ttim layout; a node type's description is
+# accepted and ignored
+DEFAULT_TTIM = """
+node_types:
+  - name: runtime-scenario
+    description: the root of every trace path
+  - name: abstraction-level
+  - name: requirement
+  - name: design-decision
+  - name: OptimizerInput
+  - name: schema-type
+link_types:
+  - {name: refines, source: requirement, target: requirement}
+  - {name: addresses, source: requirement, target: abstraction-level}
+  - {name: scopes, source: runtime-scenario, target: abstraction-level}
+  - {name: contains, source: abstraction-level, target: requirement}
+  - {name: realizes, source: requirement, target: OptimizerInput}
+  - {name: describedBy, source: OptimizerInput, target: schema-type, required: true}
+special:
+  scenario: runtime-scenario
+  optimizer_input: OptimizerInput
+  schema_type: schema-type
+  schema_link: describedBy
+"""
+
+
 def repo_files(oi_eth_value="20", extra_requirements=""):
     """File contents for the canonical fixture repository: one scenario with
     two branches ending in ethernet-latency and model-latency inputs."""

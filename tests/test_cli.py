@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -6,11 +5,10 @@ import yaml
 from click.testing import CliRunner
 
 from tracegen.cli import cli
-from tracegen.ttim import default_extended_framework, write_ttim
 
 from tracegen import checks
 
-from conftest import CONFIG_SCHEMA, ETH_SCHEMA, repo_files, write_repo
+from conftest import CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, repo_files, write_repo
 
 
 def run(*args):
@@ -108,6 +106,7 @@ class TestCheck:
             (b"a: b: c\n", "not valid YAML at line 1"),
             (b"\x01bad\n", "not valid YAML: unacceptable character"),
             (b"\xff\xfe: x\n", "not UTF-8"),
+            pytest.param(b"[" * 2000 + b"]" * 2000, "nested too deeply to read", id="deep"),
         ],
     )
     def test_malformed_ttim_exit_2(self, tmp_path, fig_repo, content, reason):
@@ -118,6 +117,68 @@ class TestCheck:
         assert result.exit_code == 2
         assert result.stderr.startswith(f"fatal: TTIM file is {reason}")
         assert result.stderr.count("\n") == 1
+
+    def test_default_ttim_file_matches_built_in(self, fig_repo, tmp_path):
+        repo, schema = fig_repo
+        ttim = tmp_path / "ttim.yaml"
+        ttim.write_text(DEFAULT_TTIM)
+        report, built_in = tmp_path / "r1.yaml", tmp_path / "r2.yaml"
+        result = run("check", repo, "--config-schema", schema, "--ttim", ttim, "--report", report)
+        assert result.exit_code == 0, result.stderr
+        run("check", repo, "--config-schema", schema, "--report", built_in)
+        assert report.read_text() == built_in.read_text()
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (["node_types"], 5, "node_types must be a list"),
+            (["node_types"], None, "node_types must be a list"),
+            (["link_types"], 7, "link_types must be a list"),
+            (["special", "scenario"], ["rs"],
+             "special 'scenario' must be a non-empty string, got ['rs']"),
+            (["special", "schema_link"], "",
+             "special 'schema_link' must be a non-empty string, got ''"),
+            (["link_types", 0, "name"], ["refines"],
+             "link type name must be a non-empty string, got ['refines']"),
+            (["node_types", 3, "name"], 3, "node type name must be a non-empty string, got 3"),
+            (["link_types", 5, "required"], "sometimes",
+             "link type 'describedBy': required must be true or false, got 'sometimes'"),
+        ],
+        ids=["node-types-scalar", "node-types-null", "link-types-scalar", "special-list",
+             "special-empty", "link-name-list", "node-name-number", "required-string"],
+    )
+    def test_ill_typed_ttim_exit_2(self, fig_repo, tmp_path, where, value, message):
+        repo, schema = fig_repo
+        data = yaml.safe_load(DEFAULT_TTIM)
+        parent = data
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        ttim = tmp_path / "ttim.yaml"
+        ttim.write_text(yaml.safe_dump(data))
+        result = run("check", repo, "--config-schema", schema, "--ttim", ttim)
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.stderr == f"fatal: {message}\n"
+
+    @pytest.mark.parametrize(
+        "pattern, reason",
+        [
+            ("/abs/*.md", "Non-relative patterns are unsupported"),
+            ("", "Unacceptable pattern: ''"),
+            ("a/**.md", "Invalid pattern: '**' can only be an entire path component"),
+        ],
+        ids=["absolute", "empty", "double-star-in-component"],
+    )
+    def test_unsupported_glob_exit_2(self, fig_repo, pattern, reason):
+        repo, schema = fig_repo
+        for command in ("check", "generate", "list-scenarios"):
+            result = run(command, repo, "--config-schema", schema,
+                         "--glob", "*.md", "--glob", pattern)
+            assert result.exit_code == 2
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert result.stderr == f"fatal: unsupported glob pattern {pattern!r}: {reason}\n"
+            assert result.stdout == ""
 
     def test_report_into_missing_directory_exit_2(self, fig_repo, tmp_path):
         repo, schema = fig_repo
@@ -287,13 +348,8 @@ class TestGenerate:
     def test_input_without_optional_schema_link_exit_1(self, tmp_path):
         # a TTIM may make the schema link optional: checks then pass, but an
         # input reachable without that link has no schema to emit
-        base = default_extended_framework()
-        ttim = dataclasses.replace(base, link_types=tuple(
-            dataclasses.replace(lt, required=False) if lt.name == base.schema_link else lt
-            for lt in base.link_types
-        ))
         ttim_path = tmp_path / "ttim.yaml"
-        ttim_path.write_text(write_ttim(ttim), encoding="utf-8")
+        ttim_path.write_text(DEFAULT_TTIM.replace("required: true", "required: false"))
         files = repo_files()
         files["optimizer.md"] = files["optimizer.md"].replace(
             '<treqs-link type="describedBy" target="ST_ETH" />\n', "")

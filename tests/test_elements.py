@@ -8,7 +8,7 @@ from tracegen.elements import (
     parse_json,
     scan_repository,
 )
-from tracegen.errors import InvalidJson, RootNotFound
+from tracegen.errors import InvalidJson, TracegenError
 
 
 def src(content, path="doc.md"):
@@ -159,8 +159,8 @@ class TestJsonBody:
     def test_invalid_json_raises(self):
         with pytest.raises(InvalidJson) as caught:
             self.read('```json\n{"value": }\n```')
-        assert (str(caught.value), caught.value.line, caught.value.column) == (
-            "Expecting value", 1, 11)
+        position = caught.value.__cause__.lineno, caught.value.__cause__.colno
+        assert (str(caught.value), *position) == ("Expecting value", 1, 11)
 
     def test_first_of_many_blocks_wins(self):
         assert self.read("```json\n1\n```\ntext\n```json\n2\n```") == (1, True)
@@ -213,7 +213,7 @@ class TestScanRepository:
         assert [f.path for f in files] == ["a.md", "sub/c.md"]
 
     def test_missing_root(self, tmp_path):
-        with pytest.raises(RootNotFound):
+        with pytest.raises(TracegenError, match="repository root not found"):
             scan_repository(tmp_path / "nope", ("*.md",))
 
     def test_binary_file_skipped_with_warning(self, tmp_path):

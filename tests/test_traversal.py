@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tracegen.checks import CHECK_INTERNAL_SCHEMA, resolve_optimizer_inputs
-from tracegen.errors import NotAScenario, PathLimitExceeded, TracegenError
+from tracegen.errors import TracegenError
 from tracegen.graph import build_graph
 from tracegen.traversal import (
     collect_optimizer_inputs,
@@ -81,7 +81,7 @@ class TestTraverse:
         assert traverse_from_scenario(graph, TTIM, "RS1").paths == []
 
     def test_not_a_scenario(self):
-        with pytest.raises(NotAScenario):
+        with pytest.raises(TracegenError, match="'REQ_ETH' is not an element of type"):
             traverse_from_scenario(fig_graph(), TTIM, "REQ_ETH")
 
     def test_path_edges_exist_in_graph(self):
@@ -111,7 +111,7 @@ class TestTraverse:
         assert any("cycle edge" in d.message for d in result.diagnostics)
 
     def test_path_limit(self):
-        with pytest.raises(PathLimitExceeded):
+        with pytest.raises(TracegenError, match="'RS1' exceeds 1 trace paths"):
             traverse_from_scenario(fig_graph(), TTIM, "RS1", max_paths=1)
 
     def test_determinism(self):
