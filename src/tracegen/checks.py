@@ -8,7 +8,7 @@ from typing import Any
 
 from tracegen.elements import RawElement, first_json_fence, parse_json
 from tracegen.emit import dump_yaml
-from tracegen.errors import InvalidJson, PointerUnresolvable, SchemaError
+from tracegen.errors import Diagnostic, InvalidJson, PointerUnresolvable, SchemaError
 from tracegen.graph import TraceGraph, find_by_type
 from tracegen.schema import (
     SchemaDoc,
@@ -27,19 +27,9 @@ CHECK_SEMANTIC_EQUIVALENCE = "semantic_equivalence"
 CHECK_ORDER = (CHECK_METAMODEL, CHECK_INTERNAL_SCHEMA, CHECK_SEMANTIC_EQUIVALENCE)
 
 
-@dataclass(frozen=True)
-class Violation:
-    check_id: str
-    severity: str  # "error" | "warning"
-    subject_uid: str | None
-    message: str
-    file: str | None = None
-    line: int | None = None
-
-
 @dataclass
 class CheckReport:
-    violations: list[Violation]
+    violations: list[Diagnostic]
     counts: dict[str, tuple[int, int]] = field(default_factory=dict)  # id -> (errors, warnings)
     passed: bool = True
 
@@ -50,22 +40,22 @@ def _violation(
     graph: TraceGraph,
     uid: str | None,
     message: str,
-) -> Violation:
+) -> Diagnostic:
     element = graph.elements.get(uid) if uid else None
-    return Violation(
-        check_id=check_id,
+    return Diagnostic(
         severity=severity,
-        subject_uid=uid,
         message=message,
         file=element.file if element else None,
         line=element.line if element else None,
+        check_id=check_id,
+        subject_uid=uid,
     )
 
 
-def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list[Violation]:
+def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list[Diagnostic]:
     """Check 1: the graph instantiates only declared types and declared,
     direction-respecting link types, and carries every required link."""
-    out: list[Violation] = []
+    out: list[Diagnostic] = []
     declared = ttim.node_type_names()
     for uid in sorted(graph.elements):
         element_type = graph.element_type(uid)
@@ -138,14 +128,14 @@ class Resolution:
     """One optimizer input's schema and instance value, and the check-2
     violations met while reading them."""
 
-    violations: tuple[Violation, ...]
+    violations: tuple[Diagnostic, ...]
     schema: SchemaDoc | None = None  # set once the schema body parsed
     value: Any = None
     complete: bool = False  # schema and value both read
 
 
 def _resolve(graph: TraceGraph, ttim: TtimDefinition, oi_uid: str) -> Resolution:
-    found: list[Violation] = []
+    found: list[Diagnostic] = []
 
     def note(severity: str, uid: str, message: str) -> None:
         found.append(_violation(CHECK_INTERNAL_SCHEMA, severity, graph, uid, message))
@@ -197,10 +187,10 @@ def resolve_optimizer_inputs(
 
 def check_internal_schema_correctness(
     graph: TraceGraph, resolutions: dict[str, Resolution]
-) -> list[Violation]:
+) -> list[Diagnostic]:
     """Check 2: every optimizer input's JSON instance validates against the
     schema carried by its linked schema-type element."""
-    out: list[Violation] = []
+    out: list[Diagnostic] = []
     for oi_uid, resolution in resolutions.items():
         out.extend(resolution.violations)
         if not resolution.complete:
@@ -221,10 +211,10 @@ def check_internal_schema_correctness(
 
 def check_semantic_equivalence(
     graph: TraceGraph, config_schema: SchemaDoc, resolutions: dict[str, Resolution]
-) -> list[Violation]:
+) -> list[Diagnostic]:
     """Check 3: each optimizer input's schema matches the configuration-schema
     subschema at its placement pointer."""
-    out: list[Violation] = []
+    out: list[Diagnostic] = []
     placements: set[str] = set()
     for oi_uid, resolution in resolutions.items():
         element = graph.elements[oi_uid]
@@ -270,11 +260,10 @@ def check_semantic_equivalence(
         at = bisect_left(ordered, pointer + "/")
         if at == len(ordered) or not ordered[at].startswith(pointer + "/"):
             out.append(
-                Violation(
-                    check_id=CHECK_SEMANTIC_EQUIVALENCE,
+                Diagnostic(
                     severity="warning",
-                    subject_uid=None,
                     message=f"configuration property {pointer} not derived from requirements",
+                    check_id=CHECK_SEMANTIC_EQUIVALENCE,
                 )
             )
     return out

@@ -16,9 +16,9 @@ import click
 
 from tracegen import checks as checks_mod
 from tracegen import elements as elements_mod
-from tracegen.elements import DEFAULT_GLOBS, ParseDiagnostic, parse_json
-from tracegen.emit import IntermediaryDocument, emit_plantuml, emit_yaml
-from tracegen.errors import InvalidJson, TracegenError
+from tracegen.elements import DEFAULT_GLOBS, parse_json
+from tracegen.emit import emit_plantuml, emit_yaml
+from tracegen.errors import Diagnostic, InvalidJson, TracegenError
 from tracegen.graph import TraceGraph, build_graph
 from tracegen.schema import SchemaDoc, parse_schema
 from tracegen.traversal import (
@@ -45,9 +45,9 @@ def _fail(message: object, code: int = EXIT_OPERATIONAL) -> NoReturn:
     sys.exit(code)
 
 
-def _print_diagnostics(diagnostics: list[ParseDiagnostic]) -> None:
+def _print_diagnostics(diagnostics: list[Diagnostic]) -> None:
     for diag in diagnostics:
-        _warn(f"{diag.severity}: {diag.file}:{diag.line}: {diag.message}")
+        _warn(str(diag))
 
 
 def _load_pipeline(
@@ -149,9 +149,7 @@ def cmd_check(repo_root, ttim_path, config_schema_path, globs, reverse_links, re
     report = checks_mod.run_all_checks(
         graph, ttim, config_schema, checks_mod.resolve_optimizer_inputs(graph, ttim)
     )
-    for violation in report.violations:
-        location = f"{violation.file}:{violation.line}" if violation.file else "-"
-        _warn(f"{violation.severity}: {violation.check_id}: {location}: {violation.message}")
+    _print_diagnostics(report.violations)
     if report_path:
         _write(report_path, checks_mod.report_to_yaml(report))
     sys.exit(EXIT_OK if report.passed else EXIT_CHECK_FAILED)
@@ -203,13 +201,15 @@ def cmd_generate(
         ]
         for result in results:
             _print_diagnostics(result.diagnostics)
-        records = collect_optimizer_inputs(results, graph, ttim, resolutions)
+        paths = collect_optimizer_inputs(results, ttim, resolutions)
     except TracegenError as exc:
         _fail(exc, EXIT_CHECK_FAILED)
 
-    doc = IntermediaryDocument(config_schema=config_schema, optimizer_inputs=records)
     try:
-        text = emit_yaml(doc) if output_format == "yaml" else emit_plantuml(doc, graph)
+        if output_format == "yaml":
+            text = emit_yaml(config_schema, paths, graph, resolutions)
+        else:
+            text = emit_plantuml(paths, graph, resolutions)
     except RecursionError:  # PyYAML's representer recurses once per nesting level
         _fail("a schema or value is nested too deeply to write as YAML")
     if output_path:

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from tracegen.errors import InvalidJson, TracegenError
+from tracegen.errors import Diagnostic, InvalidJson, TracegenError
 from tracegen.schema import is_valid_pointer
 
 DEFAULT_GLOBS = ("**/*.md", "**/*.txt")
@@ -62,14 +62,6 @@ class RawElement:
     line: int
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: str  # "error" | "warning"
-    message: str
-    file: str
-    line: int
-
-
 @dataclass
 class _Frame:
     attrs: dict[str, str] | None  # None when the opening tag was malformed
@@ -80,7 +72,7 @@ class _Frame:
 
 def scan_repository(
     root: str | Path, include_globs: tuple[str, ...] = DEFAULT_GLOBS
-) -> tuple[list[SourceFile], list[ParseDiagnostic]]:
+) -> tuple[list[SourceFile], list[Diagnostic]]:
     """Collect matching text files under ``root``, sorted by normalized path.
 
     Unreadable files and non-text files become diagnostics, never failures.
@@ -88,9 +80,13 @@ def scan_repository(
     root = Path(root)
     if not root.is_dir():
         raise TracegenError(f"repository root not found: {root}")
-    diagnostics: list[ParseDiagnostic] = []
+    diagnostics: list[Diagnostic] = []
     paths: set[Path] = set()
     for pattern in include_globs:
+        if ".." in Path(pattern).parts:
+            raise TracegenError(
+                f"unsupported glob pattern {pattern!r}: '..' leaves the repository root"
+            )
         try:
             paths.update(p for p in root.glob(pattern) if p.is_file())
         except (NotImplementedError, ValueError, IndexError) as exc:
@@ -104,17 +100,17 @@ def scan_repository(
             content = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
             diagnostics.append(
-                ParseDiagnostic("warning", "skipped non-text file", rel, 1)
+                Diagnostic("warning", "skipped non-text file", rel, 1)
             )
             continue
         except OSError as exc:
             diagnostics.append(
-                ParseDiagnostic("error", f"cannot read file: {exc}", rel, 1)
+                Diagnostic("error", f"cannot read file: {exc}", rel, 1)
             )
             continue
         if "\x00" in content:
             diagnostics.append(
-                ParseDiagnostic("warning", "skipped non-text file", rel, 1)
+                Diagnostic("warning", "skipped non-text file", rel, 1)
             )
             continue
         files.append(SourceFile(path=rel, content=content))
@@ -144,14 +140,14 @@ def _parse_attrs(raw: str) -> dict[str, str] | str:
     return attrs
 
 
-def parse_file(file: SourceFile) -> tuple[list[RawElement], list[ParseDiagnostic]]:
+def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
     """Extract all element blocks from one file.
 
     Total for any input: malformed blocks become error diagnostics and are
     skipped, everything outside element blocks is ignored.
     """
     elements: list[RawElement] = []
-    diagnostics: list[ParseDiagnostic] = []
+    diagnostics: list[Diagnostic] = []
     starts = _line_starts(file.content)
     stack: list[_Frame] = []
     cursor = 0
@@ -176,7 +172,7 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[ParseDiagnostic
         elif text.startswith("</treqs-element"):
             if not stack:
                 diagnostics.append(
-                    ParseDiagnostic(
+                    Diagnostic(
                         "error", "closing tag without matching opening tag", file.path, line
                     )
                 )
@@ -198,18 +194,18 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[ParseDiagnostic
         else:  # <treqs-link ... />
             attrs = _parse_attrs(match.group(2))
             if isinstance(attrs, str):
-                diagnostics.append(ParseDiagnostic("error", attrs, file.path, line))
+                diagnostics.append(Diagnostic("error", attrs, file.path, line))
                 continue
             if not attrs.get("type") or not attrs.get("target"):
                 diagnostics.append(
-                    ParseDiagnostic(
+                    Diagnostic(
                         "error", "link tag requires type and target attributes", file.path, line
                     )
                 )
                 continue
             if not stack:
                 diagnostics.append(
-                    ParseDiagnostic(
+                    Diagnostic(
                         "warning", "link outside any element block ignored", file.path, line
                     )
                 )
@@ -226,18 +222,18 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[ParseDiagnostic
 
     for frame in stack:
         diagnostics.append(
-            ParseDiagnostic("error", "unclosed element block", file.path, frame.line)
+            Diagnostic("error", "unclosed element block", file.path, frame.line)
         )
     elements.sort(key=lambda e: e.line)
     return elements, diagnostics
 
 
 def _validate_open(
-    raw_attrs: str, line: int, path: str, diagnostics: list[ParseDiagnostic]
+    raw_attrs: str, line: int, path: str, diagnostics: list[Diagnostic]
 ) -> dict[str, str] | None:
     attrs = _parse_attrs(raw_attrs)
     if isinstance(attrs, str):
-        diagnostics.append(ParseDiagnostic("error", attrs, path, line))
+        diagnostics.append(Diagnostic("error", attrs, path, line))
         return None
     problems = []
     if "id" not in attrs:
@@ -249,7 +245,7 @@ def _validate_open(
     if "placement" in attrs and not is_valid_pointer(attrs["placement"]):
         problems.append(f"placement is not a valid JSON Pointer: {attrs['placement']!r}")
     if problems:
-        diagnostics.append(ParseDiagnostic("error", "; ".join(problems), path, line))
+        diagnostics.append(Diagnostic("error", "; ".join(problems), path, line))
         return None
     return attrs
 

@@ -4,39 +4,34 @@ overview diagram."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import yaml
 
 from tracegen.graph import TraceGraph
 from tracegen.schema import SchemaDoc
-from tracegen.traversal import OptimizerInputRecord
+from tracegen.traversal import TracePath
+
+if TYPE_CHECKING:
+    from tracegen.checks import Resolution
 
 
-@dataclass
-class IntermediaryDocument:
-    """config_schema echoed from the input plus one record per trace path."""
-
-    config_schema: SchemaDoc
-    optimizer_inputs: list[OptimizerInputRecord]
-
-
-def _record_mapping(record: OptimizerInputRecord) -> dict:
-    trace = []
-    for i, (uid, element_type) in enumerate(record.trace_nodes):
-        entry = {"uid": uid, "type": element_type}
-        if i < len(record.trace_links):
-            entry["link_to_next"] = record.trace_links[i]
-        trace.append(entry)
+def _record_mapping(path: TracePath, graph: TraceGraph, resolution: Resolution) -> dict:
+    """One record of the intermediary document: the input's element fields,
+    its trace (input first) and its resolved schema and value."""
+    element = graph.elements[path.uid]
+    trace = [{"uid": uid, "type": graph.element_type(uid)} for uid in path.nodes]
+    for entry, link_type in zip(trace, path.link_types):
+        entry["link_to_next"] = link_type
     return {
-        "file_name": record.file_name,
-        "label": record.label,
-        "placement": record.placement,
-        "treqs_type": record.treqs_type,
-        "uid": record.uid,
+        "file_name": element.file,
+        "label": element.label,
+        "placement": element.placement,
+        "treqs_type": element.element_type,
+        "uid": path.uid,
         "trace": trace,
-        "schema": record.schema,
-        "value": record.value,
+        "schema": resolution.schema,
+        "value": resolution.value,
     }
 
 
@@ -85,35 +80,19 @@ def dump_yaml(data, allow_unicode: bool) -> str:
     )
 
 
-def emit_yaml(doc: IntermediaryDocument) -> str:
-    """Deterministic YAML with exactly two top-level keys."""
+def emit_yaml(
+    config_schema: SchemaDoc,
+    paths: list[TracePath],
+    graph: TraceGraph,
+    resolutions: dict[str, Resolution],
+) -> str:
+    """Deterministic YAML with exactly two top-level keys: the config schema
+    echoed from the input and one record per trace path."""
     data = {
-        "config_schema": doc.config_schema,
-        "optimizer_inputs": [_record_mapping(r) for r in doc.optimizer_inputs],
+        "config_schema": config_schema,
+        "optimizer_inputs": [_record_mapping(p, graph, resolutions[p.uid]) for p in paths],
     }
     return dump_yaml(data, allow_unicode=True)
-
-
-def load_intermediary(text: str) -> IntermediaryDocument:
-    """Parse YAML produced by emit_yaml back into a structurally equal document."""
-    data = yaml.safe_load(text)
-    records = []
-    for entry in data["optimizer_inputs"]:
-        trace = entry["trace"]
-        records.append(
-            OptimizerInputRecord(
-                file_name=entry["file_name"],
-                label=entry["label"],
-                placement=entry["placement"],
-                treqs_type=entry["treqs_type"],
-                uid=entry["uid"],
-                trace_nodes=tuple((t["uid"], t["type"]) for t in trace),
-                trace_links=tuple(t["link_to_next"] for t in trace if "link_to_next" in t),
-                schema=entry["schema"],
-                value=entry["value"],
-            )
-        )
-    return IntermediaryDocument(config_schema=data["config_schema"], optimizer_inputs=records)
 
 
 def _aliases(uids: list[str]) -> dict[str, str]:
@@ -132,40 +111,36 @@ def _aliases(uids: list[str]) -> dict[str, str]:
     return aliases
 
 
-def emit_plantuml(doc: IntermediaryDocument, graph: TraceGraph) -> str:
+def emit_plantuml(
+    paths: list[TracePath], graph: TraceGraph, resolutions: dict[str, Resolution]
+) -> str:
     """Component-diagram source: one node per uid on any trace, one labeled
     arrow per distinct trace edge, and a legend of the optimizer inputs."""
-    node_types: dict[str, str] = {}
+    nodes: set[str] = set()
     edges: set[tuple[str, str, str]] = set()
-    for record in doc.optimizer_inputs:
-        for uid, element_type in record.trace_nodes:
-            node_types[uid] = element_type
-        # trace is stored input-first; graph direction runs the other way
-        for i, link_type in enumerate(record.trace_links):
-            source = record.trace_nodes[i + 1][0]
-            target = record.trace_nodes[i][0]
-            edges.add((source, link_type, target))
+    for path in paths:
+        nodes.update(path.nodes)
+        # a path runs input-first; graph direction runs the other way
+        edges.update(zip(path.nodes[1:], path.link_types, path.nodes))
 
-    uids = sorted(node_types)
+    uids = sorted(nodes)
     aliases = _aliases(uids)
     lines = ["@startuml"]
     for uid in uids:
-        parts = [uid, node_types[uid]]
-        element = graph.elements.get(uid)
-        if element is not None and element.label:
+        element = graph.elements[uid]
+        parts = [uid, element.element_type]
+        if element.label:
             parts.append(element.label)
         label = "\\n".join(parts)
         lines.append(f'component "{label}" as {aliases[uid]}')
     for source, link_type, target in sorted(edges):
         lines.append(f"{aliases[source]} --> {aliases[target]} : {link_type}")
     lines.append("legend")
-    by_uid = {}
-    for record in doc.optimizer_inputs:
-        by_uid.setdefault(record.uid, record)
-    for uid in sorted(by_uid):
-        record = by_uid[uid]
-        placement = record.placement if record.placement is not None else "(no placement)"
-        type_kw = record.schema.get("type", "(untyped)")
+    for uid in sorted({path.uid for path in paths}):
+        placement = graph.elements[uid].placement
+        if placement is None:
+            placement = "(no placement)"
+        type_kw = resolutions[uid].schema.get("type", "(untyped)")
         lines.append(f"  {uid}: {placement} ({type_kw})")
     lines.append("endlegend")
     lines.append("@enduml")

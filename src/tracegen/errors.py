@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the diagnostic record shared across the package."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 
 class TracegenError(Exception):
@@ -23,3 +25,21 @@ class PointerUnresolvable(TracegenError):
 
     def __init__(self, segment: str, pointer: str):
         super().__init__(f"pointer {pointer!r} unresolvable at segment {segment!r}")
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    """One finding for stderr or the check report: a parse, graph or traversal
+    problem, or a check violation (which carries its check id and subject)."""
+
+    severity: str  # "error" | "warning"
+    message: str
+    file: str | None = None
+    line: int | None = None
+    check_id: str | None = None
+    subject_uid: str | None = None
+
+    def __str__(self) -> str:
+        location = f"{self.file}:{self.line}" if self.file else "-"
+        check = f"{self.check_id}: " if self.check_id else ""
+        return f"{self.severity}: {check}{location}: {self.message}"

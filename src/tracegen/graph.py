@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from tracegen.elements import ParseDiagnostic, RawElement
+from tracegen.elements import RawElement
+from tracegen.errors import Diagnostic
 
 Edge = tuple[str, str, str]  # (source_uid, link_type, target_uid)
 
@@ -43,19 +44,19 @@ def _build_adjacency(edges: tuple[Edge, ...]) -> dict[str, tuple[tuple[str, str]
 
 def build_graph(
     elements: list[RawElement],
-) -> tuple[TraceGraph, list[ParseDiagnostic]]:
+) -> tuple[TraceGraph, list[Diagnostic]]:
     """Resolve links and index elements; every problem becomes a diagnostic.
 
     Duplicate uids keep the occurrence from the lexicographically earliest
     file (then smallest line); links to unknown uids are dropped.
     """
-    diagnostics: list[ParseDiagnostic] = []
+    diagnostics: list[Diagnostic] = []
     kept: dict[str, RawElement] = {}
     for element in sorted(elements, key=lambda e: (e.file, e.line)):
         if element.uid in kept:
             first = kept[element.uid]
             diagnostics.append(
-                ParseDiagnostic(
+                Diagnostic(
                     "error",
                     f"duplicate uid {element.uid!r} (first defined at {first.file}:{first.line})",
                     element.file,
@@ -70,7 +71,7 @@ def build_graph(
         for link in element.links:
             if link.target_uid not in kept:
                 diagnostics.append(
-                    ParseDiagnostic(
+                    Diagnostic(
                         "error",
                         f"dangling link {link.link_type!r} to unknown uid {link.target_uid!r}",
                         link.file,

@@ -1,15 +1,13 @@
 """Framework traversal: every simple path from a runtime scenario down to an
-optimizer input, plus the records that feed the emitters."""
+optimizer input; those paths are the records that feed the emitters."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from tracegen.elements import ParseDiagnostic
-from tracegen.errors import TracegenError
+from tracegen.errors import Diagnostic, TracegenError
 from tracegen.graph import TraceGraph, find_by_type
-from tracegen.schema import SchemaDoc
 from tracegen.ttim import TtimDefinition
 
 if TYPE_CHECKING:
@@ -20,7 +18,8 @@ DEFAULT_MAX_PATHS = 10000
 
 @dataclass(frozen=True)
 class TracePath:
-    """Chain of uids from an optimizer input (first) up to the scenario (last).
+    """Chain of uids from an optimizer input (first) up to the scenario (last),
+    one record of the intermediary document.
 
     link_types[i] labels the graph edge from nodes[i+1] to nodes[i].
     """
@@ -28,31 +27,16 @@ class TracePath:
     nodes: tuple[str, ...]
     link_types: tuple[str, ...]
 
+    @property
+    def uid(self) -> str:
+        """The optimizer input the path reaches."""
+        return self.nodes[0]
+
 
 @dataclass
 class ScenarioResult:
-    scenario_uid: str
     paths: list[TracePath]
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class OptimizerInputRecord:
-    """One discovered optimizer input on one trace path, ready for emission."""
-
-    file_name: str
-    label: str | None
-    placement: str | None
-    treqs_type: str
-    uid: str
-    trace_nodes: tuple[tuple[str, str], ...]  # (uid, element_type), input first
-    trace_links: tuple[str, ...]
-    schema: SchemaDoc
-    value: object
-
-    @property
-    def scenario_uid(self) -> str:
-        return self.trace_nodes[-1][0]
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 def find_runtime_scenarios(graph: TraceGraph, ttim: TtimDefinition) -> list[str]:
@@ -76,7 +60,7 @@ def traverse_from_scenario(
         raise TracegenError(f"{scenario!r} is not an element of type {ttim.scenario_type!r}")
 
     paths: list[TracePath] = []
-    diagnostics: list[ParseDiagnostic] = []
+    diagnostics: list[Diagnostic] = []
     warned_edges: set[tuple[str, str, str]] = set()
     path: list[str] = [scenario]
     links: list[str] = []
@@ -107,7 +91,7 @@ def traverse_from_scenario(
                     warned_edges.add(edge)
                     element = graph.elements[node]
                     diagnostics.append(
-                        ParseDiagnostic(
+                        Diagnostic(
                             "warning",
                             f"cycle edge {node} -{link_type}-> {target} pruned during traversal",
                             element.file,
@@ -129,43 +113,22 @@ def traverse_from_scenario(
                 links.pop()
 
     paths.sort(key=lambda p: (p.nodes[0], p.nodes, p.link_types))
-    return ScenarioResult(scenario_uid=scenario, paths=paths, diagnostics=diagnostics)
+    return ScenarioResult(paths=paths, diagnostics=diagnostics)
 
 
 def collect_optimizer_inputs(
     results: list[ScenarioResult],
-    graph: TraceGraph,
     ttim: TtimDefinition,
     resolutions: dict[str, Resolution],
-) -> list[OptimizerInputRecord]:
-    """One record per (scenario, path) pair, sorted deterministically.
+) -> list[TracePath]:
+    """Every scenario's paths in order: the records of the intermediary document.
 
-    The records of one input share the schema and value in its resolution.
-    Once the checks passed, an input can only lack them because the
-    meta-model lets it go without a schema link, which raises.
+    Each record's schema and value are its input's resolution. Once the checks
+    passed, an input can only lack them because the meta-model lets it go
+    without a schema link, which raises.
     """
-    records: list[OptimizerInputRecord] = []
-    for result in results:
-        for trace_path in result.paths:
-            oi_uid = trace_path.nodes[0]
-            resolution = resolutions[oi_uid]
-            if not resolution.complete:
-                raise TracegenError(f"{oi_uid!r} has no {ttim.schema_link!r} link")
-            element = graph.elements[oi_uid]
-            records.append(
-                OptimizerInputRecord(
-                    file_name=element.file,
-                    label=element.label,
-                    placement=element.placement,
-                    treqs_type=element.element_type,
-                    uid=oi_uid,
-                    trace_nodes=tuple(
-                        (uid, graph.element_type(uid)) for uid in trace_path.nodes
-                    ),
-                    trace_links=trace_path.link_types,
-                    schema=resolution.schema,
-                    value=resolution.value,
-                )
-            )
-    records.sort(key=lambda r: (r.scenario_uid, r.uid, r.trace_nodes))
-    return records
+    paths = [path for result in results for path in result.paths]
+    for path in paths:
+        if not resolutions[path.uid].complete:
+            raise TracegenError(f"{path.uid!r} has no {ttim.schema_link!r} link")
+    return paths

@@ -1,6 +1,12 @@
 """Independent brute-force oracles; intentionally naive and kept separate
 from the implementations they double-check."""
 
+import yaml
+
+RECORD_FIELDS = {
+    "file_name", "label", "placement", "treqs_type", "uid", "trace", "schema", "value",
+}
+
 
 def naive_valid(schema, instance):
     """Recursive yes/no validator over the supported keyword subset."""
@@ -113,3 +119,51 @@ def untargeted_properties(pointers, placements):
         p for p in pointers
         if p != "" and not (p in placements or any(q.startswith(p + "/") for q in placements))
     ]
+
+
+def load_intermediary(text):
+    """Read an intermediary YAML document with the plain safe loader into its
+    config schema and one tuple of fields per record, the trace split into
+    (uid, type) nodes and links."""
+    data = yaml.safe_load(text)
+    assert set(data) == {"config_schema", "optimizer_inputs"}
+    records = []
+    for entry in data["optimizer_inputs"]:
+        assert set(entry) == RECORD_FIELDS
+        trace = entry["trace"]
+        assert all("link_to_next" in t for t in trace[:-1])
+        assert "link_to_next" not in trace[-1]
+        records.append((
+            entry["file_name"],
+            entry["label"],
+            entry["placement"],
+            entry["treqs_type"],
+            entry["uid"],
+            tuple((t["uid"], t["type"]) for t in trace),
+            tuple(t["link_to_next"] for t in trace[:-1]),
+            entry["schema"],
+            entry["value"],
+        ))
+    return data["config_schema"], records
+
+
+def expected_records(paths, graph, resolutions):
+    """The fields load_intermediary should read back for each trace path: the
+    reached input's element, the trace's node types and its resolution."""
+    records = []
+    for path in paths:
+        uid = path.nodes[0]
+        element = graph.elements[uid]
+        resolution = resolutions[uid]
+        records.append((
+            element.file,
+            element.label,
+            element.placement,
+            element.element_type,
+            uid,
+            tuple((node, graph.elements[node].element_type) for node in path.nodes),
+            path.link_types,
+            resolution.schema,
+            resolution.value,
+        ))
+    return records

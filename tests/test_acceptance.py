@@ -17,14 +17,14 @@ from tracegen.checks import (
 )
 from tracegen.cli import cli
 from tracegen.elements import parse_file, scan_repository
-from tracegen.emit import IntermediaryDocument, emit_plantuml, emit_yaml, load_intermediary
+from tracegen.emit import emit_plantuml, emit_yaml
 from tracegen.graph import build_graph
 from tracegen.schema import canonicalize, parse_schema, validate_instance
 from tracegen.traversal import collect_optimizer_inputs, traverse_from_scenario
 from tracegen.ttim import default_extended_framework
 
 from conftest import CONFIG_SCHEMA, repo_files, write_repo
-from oracles import brute_force_paths, naive_valid
+from oracles import brute_force_paths, expected_records, load_intermediary, naive_valid
 from test_schema import fuzz_pairs
 from test_traversal import random_dag
 
@@ -74,14 +74,13 @@ def test_criterion_1_fixture_reproduction(tmp_path):
     graph = load_graph(repo)
     result = traverse_from_scenario(graph, TTIM, "RS1")
     resolutions = resolve_optimizer_inputs(graph, TTIM)
-    records = collect_optimizer_inputs([result], graph, TTIM, resolutions)
+    records = collect_optimizer_inputs([result], TTIM, resolutions)
     assert len(records) == 2
     for record in records:
-        assert record.trace_nodes[0][0] == record.uid
-        assert record.trace_nodes[0][1] == "OptimizerInput"
-        assert record.trace_nodes[-1] == ("RS1", "runtime-scenario")
-    doc = IntermediaryDocument(config_schema=CONFIG_SCHEMA, optimizer_inputs=records)
-    uml = emit_plantuml(doc, graph)
+        assert graph.element_type(record.uid) == "OptimizerInput"
+        assert record.nodes[-1] == "RS1"
+        assert graph.element_type(record.nodes[-1]) == "runtime-scenario"
+    uml = emit_plantuml(records, graph, resolutions)
     node_uids = {
         line.split('"')[1].split("\\n")[0]
         for line in uml.splitlines()
@@ -199,12 +198,12 @@ def test_criterion_7_yaml_round_trip(tmp_path):
         graph = load_graph(repo)
         result = traverse_from_scenario(graph, TTIM, "RS1")
         resolutions = resolve_optimizer_inputs(graph, TTIM)
-        records = collect_optimizer_inputs([result], graph, TTIM, resolutions)
-        doc = IntermediaryDocument(config_schema=CONFIG_SCHEMA, optimizer_inputs=records)
-        assert load_intermediary(emit_yaml(doc)) == doc
-    empty = IntermediaryDocument(config_schema=CONFIG_SCHEMA, optimizer_inputs=[])
-    assert load_intermediary(emit_yaml(empty)) == empty
-    announce(7, "emitted YAML parses back into structurally equal documents for all fixtures")
+        records = collect_optimizer_inputs([result], TTIM, resolutions)
+        text = emit_yaml(CONFIG_SCHEMA, records, graph, resolutions)
+        assert load_intermediary(text) == (
+            CONFIG_SCHEMA, expected_records(records, graph, resolutions))
+    assert load_intermediary(emit_yaml(CONFIG_SCHEMA, [], graph, {})) == (CONFIG_SCHEMA, [])
+    announce(7, "emitted YAML reads back into every record's element, trace, schema and value")
 
 
 def test_criterion_8_config_schema_echo(tmp_path):

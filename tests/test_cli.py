@@ -180,6 +180,19 @@ class TestCheck:
             assert result.stderr == f"fatal: unsupported glob pattern {pattern!r}: {reason}\n"
             assert result.stdout == ""
 
+    @pytest.mark.parametrize("pattern", ["../*.md", "docs/../../*.md", "**/../*.md", ".."])
+    def test_glob_outside_the_root_exit_2(self, fig_repo, pattern):
+        repo, schema = fig_repo
+        (repo.parent / "outside.md").write_text('<treqs-element id="X" type="nope">\n')
+        for command in ("check", "generate", "list-scenarios"):
+            result = run(command, repo, "--config-schema", schema, "--glob", pattern)
+            assert result.exit_code == 2
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert result.stderr == (
+                f"fatal: unsupported glob pattern {pattern!r}: '..' leaves the repository root\n"
+            )
+            assert result.stdout == ""
+
     def test_report_into_missing_directory_exit_2(self, fig_repo, tmp_path):
         repo, schema = fig_repo
         report = tmp_path / "nodir" / "r.yaml"

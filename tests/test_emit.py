@@ -6,16 +6,11 @@ import yaml
 
 from tracegen import emit
 from tracegen.checks import report_to_yaml, resolve_optimizer_inputs, run_all_checks
-from tracegen.emit import (
-    IntermediaryDocument,
-    dump_yaml,
-    emit_plantuml,
-    emit_yaml,
-    load_intermediary,
-)
+from tracegen.emit import dump_yaml, emit_plantuml, emit_yaml
 from tracegen.traversal import collect_optimizer_inputs, traverse_from_scenario
 from tracegen.ttim import default_extended_framework
 
+from oracles import expected_records, load_intermediary
 from test_traversal import fig_graph
 
 TTIM = default_extended_framework()
@@ -30,23 +25,23 @@ CONFIG = {
 
 
 def fig_document():
+    """The fixture's records with what the emitters read them against:
+    (paths, graph, resolutions)."""
     graph = fig_graph()
     results = [traverse_from_scenario(graph, TTIM, "RS1")]
-    records = collect_optimizer_inputs(results, graph, TTIM, resolve_optimizer_inputs(graph, TTIM))
-    return IntermediaryDocument(config_schema=CONFIG, optimizer_inputs=records), graph
+    resolutions = resolve_optimizer_inputs(graph, TTIM)
+    return collect_optimizer_inputs(results, TTIM, resolutions), graph, resolutions
 
 
 class TestYaml:
     def test_empty_inputs(self):
-        doc = IntermediaryDocument(config_schema=CONFIG, optimizer_inputs=[])
-        data = yaml.safe_load(emit_yaml(doc))
+        data = yaml.safe_load(emit_yaml(CONFIG, [], fig_graph(), {}))
         assert set(data) == {"config_schema", "optimizer_inputs"}
         assert data["optimizer_inputs"] == []
         assert data["config_schema"] == CONFIG
 
     def test_fixture_has_two_records_with_traces(self):
-        doc, _ = fig_document()
-        data = yaml.safe_load(emit_yaml(doc))
+        data = yaml.safe_load(emit_yaml(CONFIG, *fig_document()))
         records = data["optimizer_inputs"]
         assert len(records) == 2
         for record in records:
@@ -56,8 +51,7 @@ class TestYaml:
             assert "link_to_next" not in record["trace"][-1]
 
     def test_record_fields_present(self):
-        doc, _ = fig_document()
-        data = yaml.safe_load(emit_yaml(doc))
+        data = yaml.safe_load(emit_yaml(CONFIG, *fig_document()))
         record = data["optimizer_inputs"][0]
         assert set(record) == {
             "file_name", "label", "placement", "treqs_type", "uid",
@@ -65,17 +59,16 @@ class TestYaml:
         }
 
     def test_round_trip(self):
-        doc, _ = fig_document()
-        assert load_intermediary(emit_yaml(doc)) == doc
+        paths, graph, resolutions = fig_document()
+        assert len(paths) == 2
+        assert load_intermediary(emit_yaml(CONFIG, paths, graph, resolutions)) == (
+            CONFIG, expected_records(paths, graph, resolutions))
 
     def test_round_trip_empty(self):
-        doc = IntermediaryDocument(config_schema=CONFIG, optimizer_inputs=[])
-        assert load_intermediary(emit_yaml(doc)) == doc
+        assert load_intermediary(emit_yaml(CONFIG, [], fig_graph(), {})) == (CONFIG, [])
 
     def test_byte_identical_across_runs(self):
-        first, _ = fig_document()
-        second, _ = fig_document()
-        assert emit_yaml(first) == emit_yaml(second)
+        assert emit_yaml(CONFIG, *fig_document()) == emit_yaml(CONFIG, *fig_document())
 
 
 def dump_with(dumper, data, allow_unicode):
@@ -177,8 +170,8 @@ class TestDumpYaml:
             return real_dump(data, **kwargs)
 
         monkeypatch.setattr(yaml, "dump", spy)
-        doc, graph = fig_document()
-        emit_yaml(doc)
+        paths, graph, resolutions = fig_document()
+        emit_yaml(CONFIG, paths, graph, resolutions)
         report_to_yaml(run_all_checks(graph, TTIM, CONFIG, resolve_optimizer_inputs(graph, TTIM)))
         rng = random.Random(7)
         generated = {
@@ -188,27 +181,26 @@ class TestDumpYaml:
         assert chosen == [emit._C_DUMPER] * 3
 
     def test_python_emitter_without_libyaml(self, monkeypatch):
-        doc, _ = fig_document()
-        expected = emit_yaml(doc)
+        doc = fig_document()
+        expected = emit_yaml(CONFIG, *doc)
         monkeypatch.setattr(emit, "_C_DUMPER", None)
-        assert emit_yaml(doc) == expected
+        assert emit_yaml(CONFIG, *doc) == expected
 
     @pytest.mark.parametrize("libyaml", [True, False])
     def test_shared_dict_written_without_aliases(self, monkeypatch, libyaml):
         if not libyaml:
             monkeypatch.setattr(emit, "_C_DUMPER", None)
-        doc, _ = fig_document()
+        paths, graph, resolutions = fig_document()
         shared = {"type": "number"}
-        records = [dataclasses.replace(r, schema=shared) for r in doc.optimizer_inputs]
-        text = emit_yaml(IntermediaryDocument(config_schema=CONFIG, optimizer_inputs=records))
+        resolutions = {uid: dataclasses.replace(r, schema=shared) for uid, r in resolutions.items()}
+        text = emit_yaml(CONFIG, paths, graph, resolutions)
         assert "&id" not in text and "*id" not in text
         assert text.count("type: number") >= 2
 
 
 class TestPlantuml:
     def test_fixture_diagram(self):
-        doc, graph = fig_document()
-        text = emit_plantuml(doc, graph)
+        text = emit_plantuml(*fig_document())
         assert text.startswith("@startuml")
         assert text.rstrip().endswith("@enduml")
         # one scenario node, two optimizer-input leaves
@@ -220,24 +212,22 @@ class TestPlantuml:
         assert "(number)" in legend
 
     def test_node_count_matches_trace_uids(self):
-        doc, graph = fig_document()
-        text = emit_plantuml(doc, graph)
-        distinct_uids = {uid for r in doc.optimizer_inputs for uid, _ in r.trace_nodes}
+        paths, graph, resolutions = fig_document()
+        text = emit_plantuml(paths, graph, resolutions)
+        distinct_uids = {uid for path in paths for uid in path.nodes}
         assert text.count("component ") == len(distinct_uids)
 
     def test_no_orphan_nodes(self):
-        doc, graph = fig_document()
-        text = emit_plantuml(doc, graph)
-        trace_uids = {uid for r in doc.optimizer_inputs for uid, _ in r.trace_nodes}
+        paths, graph, resolutions = fig_document()
+        text = emit_plantuml(paths, graph, resolutions)
+        trace_uids = {uid for path in paths for uid in path.nodes}
         for line in text.splitlines():
             if line.startswith("component "):
                 uid = line.split('"')[1].split("\\n")[0]
                 assert uid in trace_uids
 
     def test_empty_document(self):
-        doc = IntermediaryDocument(config_schema=CONFIG, optimizer_inputs=[])
-        graph = fig_graph()
-        text = emit_plantuml(doc, graph)
+        text = emit_plantuml([], fig_graph(), {})
         lines = text.strip().splitlines()
         assert lines[0] == "@startuml"
         assert lines[-1] == "@enduml"
@@ -245,8 +235,7 @@ class TestPlantuml:
         assert "legend" in text
 
     def test_edges_labeled_and_deduplicated(self):
-        doc, graph = fig_document()
-        text = emit_plantuml(doc, graph)
+        text = emit_plantuml(*fig_document())
         arrows = [l for l in text.splitlines() if " --> " in l]
         assert len(arrows) == len(set(arrows))
         # shared scenario->abstraction edge appears once despite two paths
@@ -254,5 +243,5 @@ class TestPlantuml:
         assert all(" : " in l for l in arrows)
 
     def test_determinism(self):
-        doc, graph = fig_document()
-        assert emit_plantuml(doc, graph) == emit_plantuml(doc, graph)
+        doc = fig_document()
+        assert emit_plantuml(*doc) == emit_plantuml(*doc)

@@ -119,10 +119,14 @@ ttim_text = st.one_of(
     text,
 )
 
-# --glob patterns: a slash-free text stays inside the repository
+# --glob patterns: a slash-free text names entries of the repository root;
+# a pattern with a '..' component is rejected
 glob_pattern = st.one_of(
     st.none(),
-    st.sampled_from(["**/*.md", "*.md", "f0.md", "**", "", ".", "..", "/abs/*.md", "a/**.md"]),
+    st.sampled_from([
+        "**/*.md", "*.md", "f0.md", "**", "", ".", "..", "/abs/*.md", "a/**.md",
+        "../*.md", "../repo/*.md", "**/../*.md", "a/../../*",
+    ]),
     st.text(alphabet="*?[]!-.\\amdf0", max_size=6),
 )
 
@@ -172,6 +176,7 @@ LINKED = (
 @hypothesis.example(files=[""], config="{}", ttim=None, glob="")
 @hypothesis.example(files=[""], config="{}", ttim=None, glob="a/**.md")
 @hypothesis.example(files=[""], config="{}", ttim=None, glob=".")
+@hypothesis.example(files=[""], config="{}", ttim=None, glob="../*.md")
 def test_every_subcommand_is_total(files, config, ttim, glob):
     runner = CliRunner()
     with tempfile.TemporaryDirectory() as tmp:

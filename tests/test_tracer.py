@@ -14,20 +14,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 FRONT = {"cli.main", "elements.scan", "elements.parse", "graph.build", "schema.config_parse"}
 CHECKS = {"checks.metamodel", "checks.internal_schema", "checks.semantic_equivalence"}
+# the tracer counts collected records and the inputs they reach (r.uid)
+COLLECTED = {"traversal.records": 2, "traversal.inputs": 2}
 
 
 @pytest.mark.parametrize(
-    "command, spans",
+    "command, spans, counts",
     [
-        (["list-scenarios"], FRONT | {"traversal.traverse"}),
+        (["list-scenarios"], FRONT | {"traversal.traverse"}, {}),
         (["generate", "--report", "{tmp}/r.yaml"], FRONT | CHECKS | {
-            "checks.report", "traversal.traverse", "traversal.collect", "emit.yaml"}),
+            "checks.report", "traversal.traverse", "traversal.collect", "emit.yaml"}, COLLECTED),
         (["generate", "--format", "plantuml"], FRONT | CHECKS | {
-            "traversal.traverse", "traversal.collect", "emit.plantuml"}),
+            "traversal.traverse", "traversal.collect", "emit.plantuml"}, COLLECTED),
     ],
     ids=["list-scenarios", "generate-yaml", "generate-plantuml"],
 )
-def test_traced_run_has_a_span_per_layer(fig_repo, tmp_path, command, spans):
+def test_traced_run_has_a_span_per_layer(fig_repo, tmp_path, command, spans, counts):
     repo, schema = fig_repo
     spans_path = tmp_path / "spans.json"
     args = [command[0], str(repo), "--config-schema", str(schema)]
@@ -44,3 +46,5 @@ def test_traced_run_has_a_span_per_layer(fig_repo, tmp_path, command, spans):
     assert traced["exit_code"] == 0
     assert {span["name"] for span in traced["spans"]} == spans
     assert traced["counts"]["elements.files"] == 4
+    for name, expected in counts.items():
+        assert traced["counts"][name] == expected

@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+import yaml
 
 from tracegen.checks import CHECK_INTERNAL_SCHEMA, resolve_optimizer_inputs
+from tracegen.emit import _record_mapping, emit_yaml
 from tracegen.errors import TracegenError
 from tracegen.graph import build_graph
 from tracegen.traversal import (
@@ -160,19 +162,22 @@ class TestOracleEquivalence:
 
 
 def collect(results, graph):
-    return collect_optimizer_inputs(results, graph, TTIM, resolve_optimizer_inputs(graph, TTIM))
+    return collect_optimizer_inputs(results, TTIM, resolve_optimizer_inputs(graph, TTIM))
 
 
 class TestCollect:
     def test_records_resolve_schema(self):
         graph = fig_graph()
         results = [traverse_from_scenario(graph, TTIM, "RS1")]
-        records = collect(results, graph)
+        resolutions = resolve_optimizer_inputs(graph, TTIM)
+        records = collect_optimizer_inputs(results, TTIM, resolutions)
         assert [r.uid for r in records] == ["OI_ETH", "OI_MODEL"]
-        assert records[0].schema == {"type": "number"}
-        assert records[0].value == 20
-        assert records[0].trace_nodes[0] == ("OI_ETH", "OptimizerInput")
-        assert records[0].trace_nodes[-1] == ("RS1", "runtime-scenario")
+        record = _record_mapping(records[0], graph, resolutions["OI_ETH"])
+        assert record["schema"] == {"type": "number"}
+        assert record["value"] == 20
+        assert record["trace"][0] == {
+            "uid": "OI_ETH", "type": "OptimizerInput", "link_to_next": "realizes"}
+        assert record["trace"][-1] == {"uid": "RS1", "type": "runtime-scenario"}
 
     def test_ambiguous_schema_link(self):
         extra_link_oi = mk_element(
@@ -208,12 +213,49 @@ class TestCollect:
         ]
         graph, _ = build_graph(elements)
         results = [traverse_from_scenario(graph, TTIM, uid) for uid in ("RS1", "RS2")]
-        records = collect(results, graph)
+        resolutions = resolve_optimizer_inputs(graph, TTIM)
+        records = collect_optimizer_inputs(results, TTIM, resolutions)
         assert [r.uid for r in records] == ["OI1", "OI1"]
-        assert records[0].scenario_uid == "RS1"
-        assert records[1].scenario_uid == "RS2"
+        assert records[0].nodes[-1] == "RS1"
+        assert records[1].nodes[-1] == "RS2"
         # both records share the one resolved schema and value
-        assert records[0].schema is records[1].schema
+        first, second = (_record_mapping(r, graph, resolutions[r.uid]) for r in records)
+        assert first["schema"] is second["schema"]
+
+    def test_document_order_is_scenario_then_path_order(self):
+        # REQ1 reaches OI1 by two link types, so two paths share every node
+        # and differ only in their link types
+        elements = [
+            mk_element("RS2", "runtime-scenario", links=[("scopes", "AL1")]),
+            mk_element("RS1", "runtime-scenario", links=[("scopes", "AL1")], line=2),
+            mk_element("AL1", "abstraction-level",
+                       links=[("contains", "REQ1"), ("contains", "REQ2")], line=3),
+            mk_element("REQ1", "requirement",
+                       links=[("refines", "OI1"), ("realizes", "OI1")], line=4),
+            mk_element("REQ2", "requirement", links=[("realizes", "OI0")], line=5),
+            mk_element("OI1", "OptimizerInput", links=[("describedBy", "ST1")],
+                       body=schema_body(1), line=6),
+            mk_element("OI0", "OptimizerInput", links=[("describedBy", "ST1")],
+                       body=schema_body(0), line=7),
+            mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=8),
+        ]
+        graph, _ = build_graph(elements)
+        scenarios = find_runtime_scenarios(graph, TTIM)
+        results = [traverse_from_scenario(graph, TTIM, uid) for uid in scenarios]
+        resolutions = resolve_optimizer_inputs(graph, TTIM)
+        records = collect_optimizer_inputs(results, TTIM, resolutions)
+        assert records == [path for result in results for path in result.paths]
+        expected = [
+            (scenario, uid, link)
+            for scenario in ("RS1", "RS2")
+            for uid, link in (("OI0", "realizes"), ("OI1", "realizes"), ("OI1", "refines"))
+        ]
+        assert [(r.nodes[-1], r.uid, r.link_types[0]) for r in records] == expected
+        document = yaml.safe_load(emit_yaml({}, records, graph, resolutions))
+        assert [
+            (r["trace"][-1]["uid"], r["uid"], r["trace"][0]["link_to_next"])
+            for r in document["optimizer_inputs"]
+        ] == expected
 
 
 class TestDeepChain:
