@@ -210,7 +210,7 @@ def cmd_generate(
             text = emit_yaml(config_schema, paths, graph, resolutions)
         else:
             text = emit_plantuml(paths, graph, resolutions)
-    except RecursionError:  # PyYAML's representer recurses once per nesting level
+    except RecursionError:  # only PyYAML's representer, the block writer's fallback, recurses
         _fail("a schema or value is nested too deeply to write as YAML")
     if output_path:
         _write(output_path, text)

@@ -3,6 +3,7 @@ overview diagram."""
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import TYPE_CHECKING
 
@@ -41,43 +42,103 @@ def _without_aliases(base: type) -> type:
 
 
 _PY_DUMPER = _without_aliases(yaml.SafeDumper)
-_C_DUMPER = _without_aliases(yaml.CSafeDumper) if yaml.__with_libyaml__ else None
-
-# Strings for which libyaml's emitter was fuzzed to write the same bytes as
-# PyYAML's. Outside them libyaml escapes astral characters, treats NEL, U+2028
-# and the BOM differently, and folds multi-line double-quoted scalars at other
-# points. It also writes an empty key as `'': 1` and counts the 128-character
-# simple-key limit in bytes, hence the key length cap.
-_LIBYAML_SAME = {
-    True: re.compile(r"[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd]*"),
-    False: re.compile(r"[\x20-\x7e]*"),
-}
 
 
-def _libyaml_same(data, allow_unicode: bool) -> bool:
-    """Whether libyaml writes `data` (dicts, lists, JSON scalars) like PyYAML."""
-    strings, stack = [], [data]
+class _Fallback(Exception):
+    """A value the block writer does not promise to write as PyYAML does."""
+
+
+# Strings PyYAML writes unescaped: printable, no line break or BOM; ASCII unless
+# allow_unicode. The patterns compile on first use, not when the CLI starts.
+_QUOTABLE = {False: "[\x20-\x7e]*",
+             True: "[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010fffe]*"}
+# Of those, the ones Emitter.analyze_scalar refuses as plain in block context.
+_NOT_PLAIN = r"---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%@`]|.*(?:: | #|[: ]\Z)"
+_IMPLICIT = _PY_DUMPER.yaml_implicit_resolvers
+
+
+@functools.lru_cache(maxsize=4096)
+def _str_text(value: str, allow_unicode: bool) -> str:
+    """A string before folding: plain, or single-quoted where YAML 1.1 would misread it."""
+    if not re.fullmatch(_QUOTABLE[allow_unicode], value):
+        raise _Fallback
+    if re.match(_NOT_PLAIN, value) or any(r.match(value) for _, r in _IMPLICIT.get(value[:1], ())):
+        return "'" + value.replace("'", "''") + "'"
+    return value
+
+
+def _scalar_text(value, allow_unicode: bool) -> str:
+    """A leaf or an empty collection as PyYAML writes it before folding."""
+    kind = type(value)
+    if kind is str:
+        return _str_text(value, allow_unicode)
+    if value is None or kind in (bool, int, dict, list):  # the collections are empty here
+        return "null" if value is None else str(value).lower()
+    if kind is not float:
+        raise _Fallback
+    text = re.sub(r"^(-?\d+)e", r"\1.0e", repr(value).lower())  # "1e-05" is written "1.0e-05"
+    return {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}.get(text, text)
+
+
+def _fold(text: str, column: int, indent: int) -> str:
+    """`text` from `column`: a lone space past column 80 breaks to `indent`, unless by a quote."""
+    quote = "'" if text[0] == "'" else ""
+    pieces = re.split("( +)", text[len(quote) : len(text) - len(quote)])
+    column += len(quote)
+    for i in range(1, len(pieces), 2):
+        column += len(pieces[i - 1])
+        if pieces[i] == " " and column > 80 and pieces[i - 1] and pieces[i + 1]:
+            pieces[i], column = "\n" + " " * indent, indent
+        else:
+            column += len(pieces[i])
+    return quote + "".join(pieces) + quote
+
+
+def _entries(node):
+    """(key, value) pairs of a mapping in key order, (None, item) of a sequence."""
+    if type(node) is list:
+        return ((None, item) for item in node)
+    # PyYAML writes an empty key, or one of 128 characters with "!!str", as "? key"
+    if not all(type(key) is str and 0 < len(key) < 123 for key in node):
+        raise _Fallback
+    return iter(sorted(node.items()))
+
+
+def _write_block(data, allow_unicode: bool) -> str:
+    """dump_yaml's bytes for a non-empty dict or list, with no recursion and no PyYAML."""
+    if type(data) not in (dict, list) or not data:
+        raise _Fallback
+    out: list[str] = []
+    stack = [(_entries(data), 0)]
+    compact = False  # the next entry goes on the line of a "- "
     while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            strings.append(node)
-        elif isinstance(node, dict):
-            if not all(0 < len(k) <= 40 for k in node if isinstance(k, str)):
-                return False
-            stack.extend(node)
-            stack.extend(node.values())
-        elif isinstance(node, list):
-            stack.extend(node)
-    return _LIBYAML_SAME[allow_unicode].fullmatch("".join(strings)) is not None
+        entries, indent = stack[-1]
+        for key, value in entries:
+            head = "-" if key is None else _str_text(key, allow_unicode) + ":"
+            out.append((" " if compact else "\n" + " " * indent) + head)
+            kind, compact = type(value), False
+            if (kind is dict or kind is list) and value:
+                # a sequence under a key is not indented
+                stack.append((_entries(value), indent if key and kind is list else indent + 2))
+                compact = key is None
+                break
+            text, start = _scalar_text(value, allow_unicode), indent + len(head) + 1
+            if start + len(text) > 80 and " " in text:
+                text = _fold(text, start, indent + 2)
+            out.append(" " + text)
+        else:
+            stack.pop()
+    return "".join(out)[1:] + "\n"
 
 
 def dump_yaml(data, allow_unicode: bool) -> str:
-    """Block-style YAML with sorted keys and no aliases, through libyaml when
-    that gives the same bytes as the Python emitter."""
-    dumper = _C_DUMPER if _C_DUMPER and _libyaml_same(data, allow_unicode) else _PY_DUMPER
-    return yaml.dump(
-        data, Dumper=dumper, sort_keys=True, default_flow_style=False, allow_unicode=allow_unicode
-    )
+    """Block-style YAML with sorted keys and no aliases, as PyYAML's Python emitter
+    writes it; PyYAML writes the documents that the block writer does not cover."""
+    try:
+        return _write_block(data, allow_unicode)
+    except _Fallback:
+        return yaml.dump(data, Dumper=_PY_DUMPER, sort_keys=True, default_flow_style=False,
+                         allow_unicode=allow_unicode)
 
 
 def emit_yaml(

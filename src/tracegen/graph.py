@@ -47,8 +47,8 @@ def build_graph(
 ) -> tuple[TraceGraph, list[Diagnostic]]:
     """Resolve links and index elements; every problem becomes a diagnostic.
 
-    Duplicate uids keep the occurrence from the lexicographically earliest
-    file (then smallest line); links to unknown uids are dropped.
+    Duplicate uids keep the earliest file's (then line's) occurrence; links to
+    unknown uids are dropped, and a link repeated in one element is kept once.
     """
     diagnostics: list[Diagnostic] = []
     kept: dict[str, RawElement] = {}
@@ -66,21 +66,20 @@ def build_graph(
             continue
         kept[element.uid] = element
 
-    edges: list[Edge] = []
+    edge_set: dict[Edge, None] = {}  # in link order, which is nearly sorted
     for element in kept.values():
         for link in element.links:
+            edge = (element.uid, link.link_type, link.target_uid)
             if link.target_uid not in kept:
-                diagnostics.append(
-                    Diagnostic(
-                        "error",
-                        f"dangling link {link.link_type!r} to unknown uid {link.target_uid!r}",
-                        link.file,
-                        link.line,
-                    )
-                )
+                severity, problem = "error", "dangling link {!r} to unknown uid {!r}"
+            elif edge in edge_set:
+                severity, problem = "warning", "duplicate link {!r} to {!r}"
+            else:
+                edge_set[edge] = None
                 continue
-            edges.append((element.uid, link.link_type, link.target_uid))
-    edges.sort()
+            message = problem.format(link.link_type, link.target_uid)
+            diagnostics.append(Diagnostic(severity, message, link.file, link.line))
+    edges = sorted(edge_set)
 
     by_type: dict[str, list[str]] = {}
     for uid, element in kept.items():

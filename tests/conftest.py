@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from tracegen import emit
 from tracegen.elements import RawElement, RawLink
 
 ETH_SCHEMA = {"type": "number", "minimum": 0, "unit": "milliseconds"}
@@ -141,3 +142,8 @@ def mk_element(uid, element_type, links=(), body="", placement=None, label=None,
         file=file,
         line=line,
     )
+
+
+def always_fall_back(data, allow_unicode):
+    """Stands in for emit._write_block so that PyYAML writes every document."""
+    raise emit._Fallback

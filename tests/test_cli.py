@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 import yaml
@@ -6,9 +7,11 @@ from click.testing import CliRunner
 
 from tracegen.cli import cli
 
-from tracegen import checks
+from tracegen import checks, emit
 
-from conftest import CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, repo_files, write_repo
+from conftest import (
+    CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, always_fall_back, repo_files, write_repo,
+)
 
 
 def run(*args):
@@ -258,17 +261,41 @@ class TestGenerate:
         assert result.exit_code == 0
         assert result.stdout.startswith("@startuml")
 
-    def test_value_too_deep_for_yaml_exit_2(self, tmp_path):
-        # 500 nested arrays pass the checks, but PyYAML's representer recurses
-        # once per level and cannot write them
+    @staticmethod
+    def deep_value_repo(tmp_path, innermost):
+        """The fixture with OI_ETH's value nested 500 arrays deep around
+        `innermost`; the checks pass it."""
         schema = {"type": "array"}
-        files = repo_files(oi_eth_value="[" * 500 + "]" * 500)
+        files = repo_files(oi_eth_value="[" * 500 + innermost + "]" * 500)
         files["optimizer.md"] = files["optimizer.md"].replace(
             json.dumps(ETH_SCHEMA), json.dumps(schema), 1)
         config = json.loads(json.dumps(CONFIG_SCHEMA))
         config["properties"]["ethernet_latency"] = schema
         repo, config_path = write_repo(tmp_path, files, config)
         assert run("check", repo, "--config-schema", config_path).exit_code == 0
+        return repo, config_path
+
+    def test_deep_value_written_without_recursion(self, tmp_path, monkeypatch):
+        repo, config_path = self.deep_value_repo(tmp_path, '"a", 1.5, null')
+        written = run("generate", repo, "--config-schema", config_path, "--format", "yaml")
+        assert written.exit_code == 0, written.stderr
+        assert "- - - - - - - - - - - a\n" in written.stdout
+        # PyYAML's representer recurses once per level: the reference needs a
+        # higher recursion limit
+        monkeypatch.setattr(emit, "_write_block", always_fall_back)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            reference = run("generate", repo, "--config-schema", config_path, "--format", "yaml")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert reference.exit_code == 0
+        assert written.stdout == reference.stdout
+
+    def test_value_too_deep_for_yaml_exit_2(self, tmp_path):
+        # NEL is a line break the block writer leaves to PyYAML, whose
+        # representer cannot recurse 500 levels deep
+        repo, config_path = self.deep_value_repo(tmp_path, '"a\\u0085b"')
         result = run("generate", repo, "--config-schema", config_path, "--format", "yaml")
         assert result.exit_code == 2
         assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -462,6 +489,26 @@ class TestListScenarios:
         result = run("list-scenarios", repo, "--config-schema", schema)
         assert result.exit_code == 0, result.stderr
         assert result.stdout == "RS1\tNight driving\t3\n"
+
+    def test_repeated_links_give_no_duplicate_paths(self, tmp_path):
+        files = repo_files()
+        for name, link in [("architecture.md", '<treqs-link type="contains" target="REQ_ETH" />'),
+                           ("optimizer.md", '<treqs-link type="describedBy" target="ST_MODEL" />')]:
+            files[name] = files[name].replace(link, link + "\n" + link)
+        repo, schema = write_repo(tmp_path, files)
+        warnings = (
+            "warning: architecture.md:6: duplicate link 'contains' to 'REQ_ETH'\n"
+            "warning: optimizer.md:15: duplicate link 'describedBy' to 'ST_MODEL'\n"
+        )
+        listing = run("list-scenarios", repo, "--config-schema", schema)
+        assert (listing.exit_code, listing.stdout) == (0, "RS1\tNight driving\t2\n")
+        assert listing.stderr == warnings
+        checked = run("check", repo, "--config-schema", schema)
+        assert (checked.exit_code, checked.stderr) == (0, warnings)
+        generated = run("generate", repo, "--config-schema", schema, "--format", "yaml")
+        assert generated.exit_code == 0
+        records = yaml.safe_load(generated.stdout)["optimizer_inputs"]
+        assert [r["uid"] for r in records] == ["OI_ETH", "OI_MODEL"]
 
     def test_counts_match_generate(self, fig_repo):
         repo, schema = fig_repo

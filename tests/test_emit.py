@@ -3,13 +3,17 @@ import random
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracegen import emit
-from tracegen.checks import report_to_yaml, resolve_optimizer_inputs, run_all_checks
+from tracegen.checks import CheckReport, report_to_yaml, resolve_optimizer_inputs, run_all_checks
 from tracegen.emit import dump_yaml, emit_plantuml, emit_yaml
+from tracegen.errors import Diagnostic
 from tracegen.traversal import collect_optimizer_inputs, traverse_from_scenario
 from tracegen.ttim import default_extended_framework
 
+from conftest import always_fall_back
 from oracles import expected_records, load_intermediary
 from test_traversal import fig_graph
 
@@ -124,24 +128,96 @@ def random_document(rng, alphabet, depth=0):
     return random_scalar(rng, alphabet)
 
 
+def written_directly(data, allow_unicode):
+    """What the block writer makes of `data`, or None where it falls back."""
+    try:
+        return emit._write_block(data, allow_unicode)
+    except emit._Fallback:
+        return None
+
+
+# Strings on each edge of what the block writer covers; it writes each of them
+# (the non-ASCII ones only with allow_unicode).
+EDGE_STRINGS = [
+    *["null", "Null", "NULL", "true", "True", "TRUE", "false", "False", "FALSE"],
+    *["yes", "Yes", "YES", "no", "No", "NO", "on", "On", "ON", "off", "Off", "OFF", "y", "n"],
+    *["1e3", "1.0e+3", "0x1F", "0o17", "1_000", "1:20", "2001-12-14", ".inf", "-.Inf", ".nan"],
+    *["~", "=", "<<", "-", "- ", "- a", "-a", "? ", "?a", ": ", ":a", "'a", '"a', "--- a", "...a"],
+    *["a'b", "it's a", "a: b", "a:b", "a #b", "a#b", "a:", "a '", "a  b", " a", "a ", "  ", ""],
+    *["#a", ",a", "[a", "]a", "{a", "}a", "&a", "*a", "!a", "|a", ">a", "%a", "@a", "`a"],
+    "caf\xe9 \u4e2d a\U0001f600",
+    "\u4e2d" * 43,
+    # after "k: ", a first word that ends at columns 79-82, plain and single-quoted
+    *[f"{'a' * (end - 3)} bc" for end in range(79, 83)],
+    *[f"{'a' * (end - 4)} b: c" for end in range(79, 83)],
+    *["ab " * n + "c" for n in (26, 27, 40)],
+    *["it's " * n + "a: b" for n in (15, 16, 30)],
+    *["x  " * 30, " " + "ab " * 30, "ab " * 30 + " ", "'" + " ab" * 30 + " '"],
+]
+
+
+TEXT = st.lists(st.sampled_from(ASCII + BMP + SPECIAL + WORDS), max_size=40).map("".join)
+
+
 class TestDumpYaml:
     def test_same_bytes_as_python_emitter_on_random_documents(self):
         rng = random.Random(20240427)
         alphabets = [ASCII, ASCII + BMP, ASCII + BMP + SPECIAL]
-        through_libyaml = 0
+        written = 0
         for _ in range(1000):
             doc = {"root": random_document(rng, rng.choice(alphabets))}
             for allow_unicode in (True, False):
                 expected = dump_with(emit._PY_DUMPER, doc, allow_unicode)
                 assert dump_yaml(doc, allow_unicode) == expected, doc
-                through_libyaml += emit._libyaml_same(doc, allow_unicode)
-        # the comparison is only worth something if libyaml wrote a good share
-        assert through_libyaml > 400
+                written += written_directly(doc, allow_unicode) is not None
+        # the comparison is only worth something if the writer wrote a good share
+        assert written > 900
+
+    @pytest.mark.parametrize("text", EDGE_STRINGS)
+    def test_edge_strings_written_like_python_emitter(self, text):
+        # the same string at several start columns and indents, and as a key
+        doc = {"k": text, "seq": [text, [text]], "deep": {"a" * 20: {"b": [{"c": text}]}}}
+        if 0 < len(text) < 123:
+            doc[text] = [text]
+        for allow_unicode in (True, False):
+            expected = dump_with(emit._PY_DUMPER, doc, allow_unicode)
+            assert dump_yaml(doc, allow_unicode) == expected
+            if allow_unicode or text.isascii():
+                assert written_directly(doc, allow_unicode) == expected
+
+    @pytest.mark.parametrize("length, covered", [(99, True), (100, True), (122, True),
+                                                 (123, False), (128, False)])
+    def test_key_lengths(self, length, covered):
+        # PyYAML writes keys of 123 characters or more as "? key"
+        doc = {"k" * length: "v", "x" * length: {"y": 1}}
+        expected = dump_with(emit._PY_DUMPER, doc, False)
+        assert dump_yaml(doc, False) == expected
+        assert (written_directly(doc, False) is not None) == covered
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            TEXT,
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+                lambda children: st.lists(children, max_size=4)
+                | st.dictionaries(TEXT, children, max_size=4),
+                max_leaves=20,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_same_bytes_as_python_emitter_on_json_shaped_documents(self, doc, allow_unicode):
+        expected = dump_with(emit._PY_DUMPER, doc, allow_unicode)
+        assert dump_yaml(doc, allow_unicode) == expected
+        assert written_directly(doc, allow_unicode) in (None, expected)
 
     @pytest.mark.parametrize(
         "data, allow_unicode",
         [
-            pytest.param({"k": "a\U0001f600"}, True, id="astral"),
+            pytest.param({"k": "a\U0001f600"}, False, id="astral"),
             pytest.param({"k": "a\x85b"}, True, id="nel"),
             pytest.param({"k": "ab " * 30 + "\u2028"}, True, id="u2028"),
             pytest.param({"k": "\ufeff" + "ab " * 30}, True, id="bom"),
@@ -150,46 +226,44 @@ class TestDumpYaml:
             pytest.param({"k": "word\x01 " * 30}, True, id="control-fold"),
             pytest.param({"k": "caf\xe9 " * 30}, False, id="non-ascii-fold"),
             pytest.param({"": 1}, True, id="empty-key"),
-            pytest.param({"k" * 125: 1}, True, id="long-key"),
-            pytest.param({"\u4e2d" * 43: 1}, True, id="long-bmp-key"),
+            pytest.param({"k" * 123: 1}, True, id="long-key"),
+            pytest.param({"\u4e2d" * 123: 1}, True, id="long-bmp-key"),
         ],
     )
     def test_counterexamples_fall_back(self, data, allow_unicode):
-        expected = dump_with(emit._PY_DUMPER, data, allow_unicode)
-        assert dump_yaml(data, allow_unicode) == expected
-        if emit._C_DUMPER is not None:
-            assert dump_with(emit._C_DUMPER, data, allow_unicode) != expected
+        # strings PyYAML escapes, folds at line breaks or writes as "? key"
+        assert written_directly(data, allow_unicode) is None
+        assert dump_yaml(data, allow_unicode) == dump_with(emit._PY_DUMPER, data, allow_unicode)
 
-    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="libyaml not available")
-    def test_libyaml_chosen_for_plain_documents(self, monkeypatch):
-        chosen = []
+    def test_tool_documents_never_reach_the_fallback(self, monkeypatch):
+        fallbacks = []
         real_dump = yaml.dump
 
         def spy(data, **kwargs):
-            chosen.append(kwargs["Dumper"])
+            fallbacks.append(data)
             return real_dump(data, **kwargs)
 
         monkeypatch.setattr(yaml, "dump", spy)
         paths, graph, resolutions = fig_document()
         emit_yaml(CONFIG, paths, graph, resolutions)
         report_to_yaml(run_all_checks(graph, TTIM, CONFIG, resolve_optimizer_inputs(graph, TTIM)))
-        rng = random.Random(7)
-        generated = {
-            f"key {i}": [random_string(rng, ASCII, 130) for _ in range(5)] for i in range(50)
-        }
-        dump_yaml(generated, allow_unicode=False)
-        assert chosen == [emit._C_DUMPER] * 3
+        message = "placement '/properties/x' targets {'type': 'number'}: " + "it's #1, " * 20
+        violations = [Diagnostic("warning", message, "a.md", 3, "semantic_equivalence", "OI_X")]
+        text = report_to_yaml(CheckReport(violations, {"semantic_equivalence": (0, 1)}))
+        assert "  message: 'placement ''/properties/x''" in text  # single-quoted
+        assert "\n    it''s #1, it''s" in text  # and folded
+        assert fallbacks == []
 
-    def test_python_emitter_without_libyaml(self, monkeypatch):
+    def test_fallback_writes_the_same_bytes(self, monkeypatch):
         doc = fig_document()
         expected = emit_yaml(CONFIG, *doc)
-        monkeypatch.setattr(emit, "_C_DUMPER", None)
+        monkeypatch.setattr(emit, "_write_block", always_fall_back)
         assert emit_yaml(CONFIG, *doc) == expected
 
-    @pytest.mark.parametrize("libyaml", [True, False])
-    def test_shared_dict_written_without_aliases(self, monkeypatch, libyaml):
-        if not libyaml:
-            monkeypatch.setattr(emit, "_C_DUMPER", None)
+    @pytest.mark.parametrize("writer", [True, False])
+    def test_shared_dict_written_without_aliases(self, monkeypatch, writer):
+        if not writer:
+            monkeypatch.setattr(emit, "_write_block", always_fall_back)
         paths, graph, resolutions = fig_document()
         shared = {"type": "number"}
         resolutions = {uid: dataclasses.replace(r, schema=shared) for uid, r in resolutions.items()}

@@ -25,6 +25,17 @@ class TestBuildGraph:
         assert graph.edges == ()
         assert "dangling" in diagnostics[0].message
 
+    def test_repeated_link_kept_once_with_a_warning(self):
+        graph, diagnostics = build_graph(
+            [
+                mk_element("A", "t", links=[("l", "B"), ("l", "B"), ("m", "B"), ("l", "B")]),
+                mk_element("B", "t", line=2),
+            ]
+        )
+        assert graph.edges == (("A", "l", "B"), ("A", "m", "B"))
+        assert graph.outgoing("A") == (("l", "B"), ("m", "B"))
+        assert [str(d) for d in diagnostics] == ["warning: mem.md:1: duplicate link 'l' to 'B'"] * 2
+
     def test_duplicate_uid_keeps_earliest_file(self):
         graph, diagnostics = build_graph(
             [

@@ -127,23 +127,29 @@ LINK_TYPES = ["refines", "contains", "scopes", "realizes", "addresses"]
 NODE_TYPES = ["runtime-scenario", "requirement", "OptimizerInput", "abstraction-level"]
 
 
-def random_dag(rng, n):
-    """Random DAG over a random topological order; node N00 is the scenario."""
+def random_dag(rng, n, repeat=0.0):
+    """Random DAG over a random topological order; node N00 is the scenario.
+    Each link is written twice with probability `repeat`."""
     order = [f"N{i:02d}" for i in range(n)]
     rng.shuffle(order)
     types = {uid: rng.choice(NODE_TYPES) for uid in order}
     types[order[0]] = "runtime-scenario"
     links = {uid: [] for uid in order}
+    repeats = 0
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.25:
                 links[order[i]].append((rng.choice(LINK_TYPES), order[j]))
+                if repeat and rng.random() < repeat:
+                    links[order[i]].append(links[order[i]][-1])
+                    repeats += 1
     elements = [
         mk_element(uid, types[uid], links=links[uid], line=k + 1)
         for k, uid in enumerate(order)
     ]
     graph, diagnostics = build_graph(elements)
-    assert diagnostics == []
+    assert len(diagnostics) == repeats
+    assert all(d.message.startswith("duplicate link") for d in diagnostics)
     return graph, types, order[0]
 
 
@@ -151,10 +157,13 @@ class TestOracleEquivalence:
     def test_random_dags_match_brute_force(self):
         rng = random.Random(123)
         for _ in range(200):
-            graph, types, scenario = random_dag(rng, rng.randint(2, 12))
+            graph, types, scenario = random_dag(rng, rng.randint(2, 12), repeat=0.1)
             result = traverse_from_scenario(graph, TTIM, scenario, max_paths=10**6)
-            mine = {(tuple(reversed(p.nodes)), tuple(reversed(p.link_types)))
-                    for p in result.paths}
+            paths = [(tuple(reversed(p.nodes)), tuple(reversed(p.link_types)))
+                     for p in result.paths]
+            # the oracle returns a set, which would hide a path found twice
+            assert len(set(paths)) == len(paths)
+            mine = set(paths)
             oracle = brute_force_paths(
                 graph.edges, types, scenario, "OptimizerInput", TTIM.schema_link
             )
