@@ -254,8 +254,8 @@ def check_semantic_equivalence(
             )
     # placements under pointer + "/" sort together: test the first at or after it
     ordered = sorted(placements)
-    for pointer, _ in collect_property_paths(config_schema):
-        if pointer == "" or pointer in placements:
+    for pointer in collect_property_paths(config_schema):
+        if pointer in placements:
             continue
         at = bisect_left(ordered, pointer + "/")
         if at == len(ordered) or not ordered[at].startswith(pointer + "/"):

@@ -17,7 +17,7 @@ import click
 from tracegen import checks as checks_mod
 from tracegen import elements as elements_mod
 from tracegen.elements import DEFAULT_GLOBS, parse_json
-from tracegen.emit import emit_plantuml, emit_yaml
+from tracegen.emit import emit_plantuml, emit_yaml, one_line
 from tracegen.errors import Diagnostic, InvalidJson, TracegenError
 from tracegen.graph import TraceGraph, build_graph
 from tracegen.schema import SchemaDoc, parse_schema
@@ -234,7 +234,7 @@ def cmd_list_scenarios(
             result = traverse_from_scenario(graph, ttim, uid, max_paths_per_scenario)
         except TracegenError as exc:
             _fail(exc, EXIT_CHECK_FAILED)
-        label = graph.elements[uid].label or ""
+        label = one_line(graph.elements[uid].label or "")
         click.echo(f"{uid}\t{label}\t{len(result.paths)}")
     sys.exit(EXIT_OK)
 

@@ -14,7 +14,6 @@ independent elements and never creates a trace link.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import re
@@ -46,8 +45,7 @@ class SourceFile:
 class RawLink:
     link_type: str
     target_uid: str
-    file: str
-    line: int
+    line: int  # the enclosing element carries the file
 
 
 @dataclass(frozen=True)
@@ -99,142 +97,37 @@ def scan_repository(
         try:
             content = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:
-            diagnostics.append(
-                Diagnostic("warning", "skipped non-text file", rel, 1)
-            )
-            continue
+            content = None
         except OSError as exc:
-            diagnostics.append(
-                Diagnostic("error", f"cannot read file: {exc}", rel, 1)
-            )
+            diagnostics.append(Diagnostic("error", f"cannot read file: {exc}", rel, 1))
             continue
-        if "\x00" in content:
-            diagnostics.append(
-                Diagnostic("warning", "skipped non-text file", rel, 1)
-            )
+        if content is None or "\x00" in content:
+            diagnostics.append(Diagnostic("warning", "skipped non-text file", rel, 1))
             continue
         files.append(SourceFile(path=rel, content=content))
     return files, diagnostics
 
 
-def _line_starts(content: str) -> list[int]:
-    return [0] + [m.end() for m in re.finditer("\n", content)]
-
-
-def _parse_attrs(raw: str) -> dict[str, str] | str:
-    """Parse an attribute region; returns a dict or an error message."""
+def _parse_attrs(raw: str) -> tuple[dict[str, str] | None, str | None]:
+    """Parse an attribute region into ``(attrs, None)`` or ``(None, problem)``."""
     attrs: dict[str, str] = {}
     pos = 0
-    while pos < len(raw):
-        match = _ATTR_RE.match(raw, pos)
-        if match is None:
-            rest = raw[pos:].strip()
-            if not rest:
-                break
-            return f"malformed attribute syntax near {rest[:30]!r}"
-        name, value = match.group(1), match.group(2)
+    while match := _ATTR_RE.match(raw, pos):
+        name, value = match.groups()
         if name in attrs:
-            return f"duplicate attribute {name!r}"
+            return None, f"duplicate attribute {name!r}"
         attrs[name] = value
         pos = match.end()
-    return attrs
+    if rest := raw[pos:].strip():
+        return None, f"malformed attribute syntax near {rest[:30]!r}"
+    return attrs, None
 
 
-def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
-    """Extract all element blocks from one file.
-
-    Total for any input: malformed blocks become error diagnostics and are
-    skipped, everything outside element blocks is ignored.
-    """
-    elements: list[RawElement] = []
-    diagnostics: list[Diagnostic] = []
-    starts = _line_starts(file.content)
-    stack: list[_Frame] = []
-    cursor = 0
-
-    def line_of(offset: int) -> int:
-        return bisect.bisect_right(starts, offset)
-
-    def take_text(upto: int) -> None:
-        nonlocal cursor
-        if stack and upto > cursor:
-            stack[-1].body_parts.append(file.content[cursor:upto])
-        cursor = upto
-
-    for match in _TAG_RE.finditer(file.content):
-        take_text(match.start())
-        cursor = match.end()
-        line = line_of(match.start())
-        text = match.group(0)
-        if text.startswith("<treqs-element"):
-            attrs = _validate_open(match.group(1), line, file.path, diagnostics)
-            stack.append(_Frame(attrs=attrs, line=line))
-        elif text.startswith("</treqs-element"):
-            if not stack:
-                diagnostics.append(
-                    Diagnostic(
-                        "error", "closing tag without matching opening tag", file.path, line
-                    )
-                )
-                continue
-            frame = stack.pop()
-            if frame.attrs is not None:
-                elements.append(
-                    RawElement(
-                        uid=frame.attrs["id"],
-                        element_type=frame.attrs["type"],
-                        label=frame.attrs.get("label"),
-                        placement=frame.attrs.get("placement"),
-                        body="".join(frame.body_parts),
-                        links=tuple(frame.links),
-                        file=file.path,
-                        line=frame.line,
-                    )
-                )
-        else:  # <treqs-link ... />
-            attrs = _parse_attrs(match.group(2))
-            if isinstance(attrs, str):
-                diagnostics.append(Diagnostic("error", attrs, file.path, line))
-                continue
-            if not attrs.get("type") or not attrs.get("target"):
-                diagnostics.append(
-                    Diagnostic(
-                        "error", "link tag requires type and target attributes", file.path, line
-                    )
-                )
-                continue
-            if not stack:
-                diagnostics.append(
-                    Diagnostic(
-                        "warning", "link outside any element block ignored", file.path, line
-                    )
-                )
-                continue
-            if stack[-1].attrs is not None:
-                stack[-1].links.append(
-                    RawLink(
-                        link_type=attrs["type"],
-                        target_uid=attrs["target"],
-                        file=file.path,
-                        line=line,
-                    )
-                )
-
-    for frame in stack:
-        diagnostics.append(
-            Diagnostic("error", "unclosed element block", file.path, frame.line)
-        )
-    elements.sort(key=lambda e: e.line)
-    return elements, diagnostics
-
-
-def _validate_open(
-    raw_attrs: str, line: int, path: str, diagnostics: list[Diagnostic]
-) -> dict[str, str] | None:
-    attrs = _parse_attrs(raw_attrs)
-    if isinstance(attrs, str):
-        diagnostics.append(Diagnostic("error", attrs, path, line))
-        return None
+def _validate_open(raw: str) -> tuple[dict[str, str] | None, str | None]:
+    """An opening tag's attributes as ``(attrs, None)`` or ``(None, problem)``."""
+    attrs, problem = _parse_attrs(raw)
+    if problem:
+        return None, problem
     problems = []
     if "id" not in attrs:
         problems.append("missing id attribute")
@@ -244,10 +137,62 @@ def _validate_open(
         problems.append("missing type attribute")
     if "placement" in attrs and not is_valid_pointer(attrs["placement"]):
         problems.append(f"placement is not a valid JSON Pointer: {attrs['placement']!r}")
-    if problems:
-        diagnostics.append(Diagnostic("error", "; ".join(problems), path, line))
-        return None
-    return attrs
+    return (None, "; ".join(problems)) if problems else (attrs, None)
+
+
+def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
+    """Extract all element blocks from one file.
+
+    Total for any input: malformed blocks become error diagnostics and are
+    skipped, everything outside element blocks is ignored. A tag's line is
+    the line its ``<`` is on.
+    """
+    content, path = file.content, file.path
+    elements: list[RawElement] = []
+    diagnostics: list[Diagnostic] = []
+    stack: list[_Frame] = []
+    line, counted, body_from = 1, 0, 0  # the line of offset `counted`
+    for match in _TAG_RE.finditer(content):
+        start = match.start()
+        line += content.count("\n", counted, start)
+        if stack:
+            stack[-1].body_parts.append(content[body_from:start])
+        counted, body_from = start, match.end()
+        open_attrs, link_attrs = match.group(1, 2)
+        severity, problem = "error", None
+        if open_attrs is not None:
+            attrs, problem = _validate_open(open_attrs)
+            stack.append(_Frame(attrs=attrs, line=line))
+        elif link_attrs is not None:
+            attrs, problem = _parse_attrs(link_attrs)
+            if problem is None:
+                if not attrs.get("type") or not attrs.get("target"):
+                    problem = "link tag requires type and target attributes"
+                elif not stack:
+                    severity, problem = "warning", "link outside any element block ignored"
+                else:  # a malformed block drops its links when it closes
+                    stack[-1].links.append(RawLink(attrs["type"], attrs["target"], line))
+        elif not stack:
+            problem = "closing tag without matching opening tag"
+        elif (frame := stack.pop()).attrs is not None:
+            elements.append(
+                RawElement(
+                    uid=frame.attrs["id"],
+                    element_type=frame.attrs["type"],
+                    label=frame.attrs.get("label"),
+                    placement=frame.attrs.get("placement"),
+                    body="".join(frame.body_parts),
+                    links=tuple(frame.links),
+                    file=path,
+                    line=frame.line,
+                )
+            )
+        if problem:
+            diagnostics.append(Diagnostic(severity, problem, path, line))
+    for frame in stack:
+        diagnostics.append(Diagnostic("error", "unclosed element block", path, frame.line))
+    elements.sort(key=lambda e: e.line)
+    return elements, diagnostics
 
 
 def first_json_fence(element: RawElement) -> tuple[str | None, bool]:

@@ -156,6 +156,14 @@ def emit_yaml(
     return dump_yaml(data, allow_unicode=True)
 
 
+_LINE_BREAKS = str.maketrans("\t\r\n", "   ")
+
+
+def one_line(text: str) -> str:
+    """``text`` for a one-line display field: each tab, CR and LF becomes a space."""
+    return text.translate(_LINE_BREAKS)
+
+
 def _aliases(uids: list[str]) -> dict[str, str]:
     """Stable PlantUML-safe aliases for arbitrary uids."""
     aliases: dict[str, str] = {}
@@ -192,7 +200,7 @@ def emit_plantuml(
         parts = [uid, element.element_type]
         if element.label:
             parts.append(element.label)
-        label = "\\n".join(parts)
+        label = one_line("\\n".join(parts))
         lines.append(f'component "{label}" as {aliases[uid]}')
     for source, link_type, target in sorted(edges):
         lines.append(f"{aliases[source]} --> {aliases[target]} : {link_type}")
@@ -202,7 +210,7 @@ def emit_plantuml(
         if placement is None:
             placement = "(no placement)"
         type_kw = resolutions[uid].schema.get("type", "(untyped)")
-        lines.append(f"  {uid}: {placement} ({type_kw})")
+        lines.append(f"  {uid}: {one_line(placement)} ({type_kw})")
     lines.append("endlegend")
     lines.append("@enduml")
     return "\n".join(lines) + "\n"

@@ -78,7 +78,7 @@ def build_graph(
                 edge_set[edge] = None
                 continue
             message = problem.format(link.link_type, link.target_uid)
-            diagnostics.append(Diagnostic(severity, message, link.file, link.line))
+            diagnostics.append(Diagnostic(severity, message, element.file, link.line))
     edges = sorted(edge_set)
 
     by_type: dict[str, list[str]] = {}

@@ -38,7 +38,8 @@ ALLOWED_TYPES = {"object", "array", "string", "number", "integer", "boolean", "n
 # survives canonicalization and participates in equivalence. "description" does not.
 ANNOTATION_KEYWORDS = {"description"}
 
-_POINTER_RE = re.compile(r"^(/([^/~]|~[01])*)*$")
+# RFC 6901, matched whole: "" or "/"-led tokens that use "~" only in "~0" and "~1"
+_POINTER_RE = re.compile(r"(/([^/~]|~[01])*)*")
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def unescape_token(token: str) -> str:
 
 
 def is_valid_pointer(text: str) -> bool:
-    return bool(_POINTER_RE.match(text))
+    return _POINTER_RE.fullmatch(text) is not None
 
 
 def parse_pointer(text: str) -> list[str]:
@@ -254,24 +255,17 @@ def schemas_equivalent(a: SchemaDoc, b: SchemaDoc) -> bool:
     return canonical_text(a) == canonical_text(b)
 
 
-def collect_property_paths(schema: SchemaDoc) -> list[tuple[str, SchemaDoc]]:
-    """Enumerate subschemas reachable through ``properties`` chains.
-
-    Pointers have the form /properties/x/properties/y and the result is
-    sorted by pointer text. A schema without properties yields itself at the
-    empty pointer.
-    """
-    found: list[tuple[str, SchemaDoc]] = []
+def collect_property_paths(schema: SchemaDoc) -> list[str]:
+    """Pointers of the form /properties/x/properties/y to every subschema
+    reachable through ``properties`` chains, sorted by pointer text."""
+    found: list[str] = []
 
     def walk(prefix: str, node: SchemaDoc) -> None:
         for name, sub in node.get("properties", {}).items():
             ptr = f"{prefix}/properties/{escape_token(name)}"
-            found.append((ptr, sub))
+            found.append(ptr)
             if isinstance(sub, dict):
                 walk(ptr, sub)
 
     walk("", schema)
-    if not found:
-        return [("", schema)]
-    found.sort(key=lambda pair: pair[0])
-    return found
+    return sorted(found)

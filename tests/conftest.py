@@ -136,7 +136,7 @@ def mk_element(uid, element_type, links=(), body="", placement=None, label=None,
         placement=placement,
         body=body,
         links=tuple(
-            RawLink(link_type=lt, target_uid=target, file=file, line=line)
+            RawLink(link_type=lt, target_uid=target, line=line)
             for lt, target in links
         ),
         file=file,

@@ -55,6 +55,27 @@ class TestCheck:
         metamodel_lines = [l for l in result.stderr.splitlines() if "metamodel" in l]
         assert len(metamodel_lines) == 1
 
+    @pytest.mark.parametrize(
+        "placement, first_error",
+        [
+            ("\n", "error: optimizer.md:3: placement is not a valid JSON Pointer: '\\n'"),
+            ("/properties/ethernet_latency\n",
+             "error: semantic_equivalence: optimizer.md:3: pointer "
+             "'/properties/ethernet_latency\\n' unresolvable at segment 'ethernet_latency\\n'"),
+        ],
+        ids=["line-break-only", "token-ending-in-a-line-break"],
+    )
+    def test_placement_with_a_line_break_gives_one_line_diagnostics(
+        self, tmp_path, placement, first_error
+    ):
+        files = repo_files()
+        files["optimizer.md"] = files["optimizer.md"].replace(
+            'placement="/properties/ethernet_latency"', f'placement="{placement}"')
+        repo, schema = write_repo(tmp_path, files)
+        lines = run("check", repo, "--config-schema", schema).stderr.splitlines()
+        assert first_error in lines
+        assert all(line.startswith(("error: ", "warning: ")) for line in lines)
+
     def test_missing_config_schema_exit_2(self, fig_repo):
         repo, _ = fig_repo
         result = run("check", repo, "--config-schema", repo / "nope.json")
@@ -260,6 +281,27 @@ class TestGenerate:
         result = run("generate", repo, "--config-schema", schema, "--format", "plantuml")
         assert result.exit_code == 0
         assert result.stdout.startswith("@startuml")
+
+    def test_plantuml_writes_line_breaks_as_spaces(self, tmp_path):
+        files = repo_files()
+        files["scenarios.md"] = files["scenarios.md"].replace(
+            'label="Night driving"', 'label="Night\ndriving\tslow"')
+        files["optimizer.md"] = files["optimizer.md"].replace(
+            'placement="/properties/ethernet_latency"', 'placement="/properties/ethernet\nlatency"')
+        config = json.loads(json.dumps(CONFIG_SCHEMA))
+        config["properties"]["ethernet\nlatency"] = config["properties"].pop("ethernet_latency")
+        config["required"] = ["ethernet\nlatency", "model_latency"]
+        repo, schema = write_repo(tmp_path, files, config)
+        result = run("generate", repo, "--config-schema", schema, "--format", "plantuml")
+        assert (result.exit_code, result.stderr) == (0, "")
+        lines = result.stdout.splitlines()
+        assert 'component "RS1\\nruntime-scenario\\nNight driving slow" as n_RS1' in lines
+        assert "  OI_ETH: /properties/ethernet latency (number)" in lines
+        assert lines[-3:] == ["  OI_MODEL: /properties/model_latency (number)", "endlegend", "@enduml"]
+        # the intermediary document keeps the raw text
+        document = run("generate", repo, "--config-schema", schema, "--format", "yaml")
+        records = yaml.safe_load(document.stdout)["optimizer_inputs"]
+        assert records[0]["placement"] == "/properties/ethernet\nlatency"
 
     @staticmethod
     def deep_value_repo(tmp_path, innermost):
@@ -475,6 +517,14 @@ class TestListScenarios:
         assert len(lines) == 2
         assert lines[0].split("\t") == ["RS1", "Night driving", "2"]
         assert lines[1].split("\t") == ["RS2", "Day driving", "2"]
+
+    def test_label_line_breaks_written_as_spaces(self, tmp_path):
+        files = repo_files()
+        files["scenarios.md"] = files["scenarios.md"].replace(
+            'label="Night driving"', 'label="Night\ndriving\tslow"')
+        repo, schema = write_repo(tmp_path, files)
+        result = run("list-scenarios", repo, "--config-schema", schema)
+        assert (result.exit_code, result.stdout) == (0, "RS1\tNight driving slow\t2\n")
 
     def test_empty_repo(self, tmp_path):
         (tmp_path / "repo").mkdir()

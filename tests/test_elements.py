@@ -2,7 +2,6 @@ import pytest
 
 from tracegen.elements import (
     SourceFile,
-    _line_starts,
     first_json_fence,
     parse_file,
     parse_json,
@@ -13,6 +12,10 @@ from tracegen.errors import InvalidJson, TracegenError
 
 def src(content, path="doc.md"):
     return SourceFile(path=path, content=content)
+
+
+def diagnostics_of(content):
+    return [(d.severity, d.message, d.file, d.line) for d in parse_file(src(content))[1]]
 
 
 SINGLE = """prose before
@@ -43,42 +46,13 @@ class TestParseFile:
         (e,) = elements
         assert [(l.link_type, l.target_uid) for l in e.links] == [("satisfiedBy", "REQ7")]
 
-    def test_missing_id_is_error(self):
-        content = '<treqs-element type="requirement">\n</treqs-element>\n'
-        elements, diagnostics = parse_file(src(content))
+    @pytest.mark.parametrize("placement", ["no-slash", "\n", "\r\n"])
+    def test_bad_placement_rejected(self, placement):
+        content = f'<treqs-element id="A" type="t" placement="{placement}">\n</treqs-element>\n'
+        elements, _ = parse_file(src(content))
         assert elements == []
-        (d,) = diagnostics
-        assert d.severity == "error"
-        assert d.line == 1
-
-    def test_missing_type_is_error(self):
-        elements, diagnostics = parse_file(src('<treqs-element id="A">\n</treqs-element>\n'))
-        assert elements == []
-        assert diagnostics[0].severity == "error"
-
-    def test_duplicate_attribute_is_error(self):
-        content = '<treqs-element id="A" id="B" type="requirement">\n</treqs-element>\n'
-        elements, diagnostics = parse_file(src(content))
-        assert elements == []
-        assert "duplicate attribute" in diagnostics[0].message
-
-    def test_unclosed_block_is_error(self):
-        elements, diagnostics = parse_file(src('<treqs-element id="A" type="t">\nbody\n'))
-        assert elements == []
-        assert "unclosed" in diagnostics[0].message
-
-    def test_whitespace_uid_rejected(self):
-        elements, diagnostics = parse_file(
-            src('<treqs-element id="A B" type="t">\n</treqs-element>\n')
-        )
-        assert elements == []
-        assert diagnostics[0].severity == "error"
-
-    def test_bad_placement_rejected(self):
-        content = '<treqs-element id="A" type="t" placement="no-slash">\n</treqs-element>\n'
-        elements, diagnostics = parse_file(src(content))
-        assert elements == []
-        assert "JSON Pointer" in diagnostics[0].message
+        assert diagnostics_of(content) == [
+            ("error", f"placement is not a valid JSON Pointer: {placement!r}", "doc.md", 1)]
 
     def test_nested_elements_are_independent(self):
         content = """<treqs-element id="OUTER" type="t">
@@ -100,15 +74,6 @@ more outer
         assert len(inner.links) == 1
         assert "inner body" not in outer.body
         assert "more outer" in outer.body
-
-    def test_link_outside_block_warns(self):
-        elements, diagnostics = parse_file(src('<treqs-link type="l" target="X" />\n'))
-        assert elements == []
-        assert diagnostics[0].severity == "warning"
-
-    def test_stray_closing_tag_is_error(self):
-        _, diagnostics = parse_file(src("</treqs-element>\n"))
-        assert diagnostics[0].severity == "error"
 
     def test_provenance_round_trip(self):
         content = "x\n\n" + SINGLE
@@ -133,6 +98,119 @@ more outer
         for junk in ["", "<treqs-element", "< /treqs-element>", "a<b>c", "<treqs-element >"]:
             elements, diagnostics = parse_file(src(junk))
             assert isinstance(elements, list) and isinstance(diagnostics, list)
+
+
+class TestParseDiagnostics:
+    """The exact message, severity and line of every parse diagnostic."""
+
+    @pytest.mark.parametrize(
+        "tag, message",
+        [
+            ('<treqs-element id="A" type=t>', "malformed attribute syntax near 'type=t'"),
+            ('<treqs-element id="A" type="t" x>', "malformed attribute syntax near 'x'"),
+            ('<treqs-element id="A" id="B" type="t">', "duplicate attribute 'id'"),
+            ('<treqs-element type="t">', "missing id attribute"),
+            ('<treqs-element id="A">', "missing type attribute"),
+            ('<treqs-element id="A" type="">', "missing type attribute"),
+            ('<treqs-element id="" placement="x">',
+             "id must be non-empty and contain no whitespace; missing type attribute; "
+             "placement is not a valid JSON Pointer: 'x'"),
+            ('<treqs-element id="A B" type="t" placement="/a~2">',
+             "id must be non-empty and contain no whitespace; "
+             "placement is not a valid JSON Pointer: '/a~2'"),
+            ("<treqs-element>", "missing id attribute; missing type attribute"),
+        ],
+        ids=["malformed", "malformed-tail", "duplicate", "no-id", "no-type", "empty-type",
+             "three-problems", "id-and-placement", "no-attributes"],
+    )
+    def test_opening_tag_problem(self, tag, message):
+        content = f"text\n{tag}\nbody\n</treqs-element>\n"
+        elements, _ = parse_file(src(content))
+        assert elements == []
+        assert diagnostics_of(content) == [("error", message, "doc.md", 2)]
+
+    @pytest.mark.parametrize(
+        "tag, message",
+        [
+            ('<treqs-link type="l" />', "link tag requires type and target attributes"),
+            ('<treqs-link target="X" />', "link tag requires type and target attributes"),
+            ('<treqs-link type="" target="X" />', "link tag requires type and target attributes"),
+            ('<treqs-link type="l" type="m" target="X" />', "duplicate attribute 'type'"),
+            ('<treqs-link type="l" target=X />', "malformed attribute syntax near 'target=X'"),
+        ],
+        ids=["no-target", "no-type", "empty-type", "duplicate", "malformed"],
+    )
+    def test_link_tag_problem(self, tag, message):
+        content = f'<treqs-element id="A" type="t">\n\n{tag}\n</treqs-element>\n'
+        elements, _ = parse_file(src(content))
+        assert [e.links for e in elements] == [()]
+        assert diagnostics_of(content) == [("error", message, "doc.md", 3)]
+
+    def test_link_problem_reported_outside_a_block_too(self):
+        content = '\n<treqs-link type="l" />\n'
+        assert diagnostics_of(content) == [
+            ("error", "link tag requires type and target attributes", "doc.md", 2)]
+
+    def test_link_outside_block_is_a_warning(self):
+        content = 'a\n\n<treqs-link type="l" target="X" />\n'
+        assert diagnostics_of(content) == [
+            ("warning", "link outside any element block ignored", "doc.md", 3)]
+
+    def test_stray_closing_tag(self):
+        content = '<treqs-element id="A" type="t">\n</treqs-element>\n</treqs-element>\n'
+        assert diagnostics_of(content) == [
+            ("error", "closing tag without matching opening tag", "doc.md", 3)]
+
+    def test_unclosed_blocks_reported_outermost_first_after_the_rest(self):
+        content = (
+            '<treqs-element id="A" type="t">\n'
+            '<treqs-element id="B" type="t">\n'
+            "</treqs-element>\n"
+            '<treqs-element id="C" type="t">\n'
+            '<treqs-link type="l" />\n'
+        )
+        elements, _ = parse_file(src(content))
+        assert [(e.uid, e.line) for e in elements] == [("B", 2)]
+        assert diagnostics_of(content) == [
+            ("error", "link tag requires type and target attributes", "doc.md", 5),
+            ("error", "unclosed element block", "doc.md", 1),
+            ("error", "unclosed element block", "doc.md", 4),
+        ]
+
+    def test_link_inside_malformed_block_dropped_silently(self):
+        content = (
+            '<treqs-element id="A">\n'
+            '<treqs-link type="l" target="X" />\n'
+            '<treqs-element id="B" type="t">\n'
+            '<treqs-link type="m" target="Y" />\n'
+            "</treqs-element>\n"
+            '<treqs-link type="n" target="Z" />\n'
+            "</treqs-element>\n"
+        )
+        elements, _ = parse_file(src(content))
+        assert [(e.uid, [(l.link_type, l.target_uid) for l in e.links]) for e in elements] == [
+            ("B", [("m", "Y")])]
+        assert diagnostics_of(content) == [("error", "missing type attribute", "doc.md", 1)]
+
+    def test_tag_spanning_lines_reports_its_first_line(self):
+        content = (
+            "prose\n"
+            '<treqs-element id="A" type="t"\n'
+            '    label="two\r\nlines">\n'
+            '<treqs-link\n type="l"\n target="X" />\n'
+            "</treqs-element>\n"
+            '<treqs-element\n type="t" label="\n">\n'
+            "</treqs-element>\n"
+            '<treqs-link type="l"\n target="X" />\n'
+        )
+        elements, _ = parse_file(src(content))
+        ((a, a_line, links),) = [(e.label, e.line, e.links) for e in elements]
+        assert (a, a_line) == ("two\r\nlines", 2)
+        assert [(l.link_type, l.line) for l in links] == [("l", 5)]
+        assert diagnostics_of(content) == [
+            ("error", "missing id attribute", "doc.md", 9),
+            ("warning", "link outside any element block ignored", "doc.md", 13),
+        ]
 
 
 class TestJsonBody:
@@ -224,18 +302,32 @@ class TestScanRepository:
         assert diagnostics[0].severity == "warning"
 
 
-def _line_starts_loop(content):
-    """Reference: the per-character loop _line_starts replaced."""
-    starts = [0]
-    for i, ch in enumerate(content):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
+_LINE_TAGS = (
+    '<treqs-element id="A" type="t">',
+    '<treqs-link type="l" target="X" />',
+    "</treqs-element>",
+    "</treqs-element>",
+    '<treqs-link type="l" />',
+    '<treqs-element id="B" type="t">',
+)
 
 
 @pytest.mark.parametrize(
     "content",
     ["a\r\nb\r\n\r\nc\r\n", "one\ntwo\nno final newline", "", "\n", "\n\nx"],
 )
-def test_line_starts_matches_loop(content):
-    assert _line_starts(content) == _line_starts_loop(content)
+def test_line_is_one_plus_newlines_before_the_tag(content):
+    text = content + content.join(_LINE_TAGS) + content
+    offsets, at = [], 0
+    for tag in _LINE_TAGS:
+        at = text.index(tag, at)
+        offsets.append(at)
+        at += len(tag)
+    a, link, _, stray, bad_link, b = [1 + text.count("\n", 0, at) for at in offsets]
+    elements, diagnostics = parse_file(src(text))
+    assert [(e.uid, e.line, [l.line for l in e.links]) for e in elements] == [("A", a, [link])]
+    assert [(d.message, d.line) for d in diagnostics] == [
+        ("closing tag without matching opening tag", stray),
+        ("link tag requires type and target attributes", bad_link),
+        ("unclosed element block", b),
+    ]

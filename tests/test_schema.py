@@ -6,6 +6,7 @@ from tracegen.errors import PointerUnresolvable, SchemaError, TracegenError
 from tracegen.schema import (
     canonicalize,
     collect_property_paths,
+    parse_pointer,
     parse_schema,
     resolve_pointer,
     schemas_equivalent,
@@ -99,6 +100,17 @@ class TestPointer:
         with pytest.raises(TracegenError, match="malformed JSON Pointer"):
             resolve_pointer({}, "no-leading-slash")
 
+    @pytest.mark.parametrize("text", ["\n", "/a\n/b~", "/a~2", "x/a", " /a"])
+    def test_parse_pointer_rejects_what_is_not_a_pointer_as_a_whole(self, text):
+        with pytest.raises(TracegenError) as caught:
+            parse_pointer(text)
+        assert str(caught.value) == f"malformed JSON Pointer {text!r}"
+
+    def test_a_token_may_end_in_a_line_break(self):
+        # RFC 6901 lets a reference token hold any character but '/' and a bare '~'
+        assert parse_pointer("/properties/x\n") == ["properties", "x\n"]
+        assert parse_pointer("") == []
+
 
 class TestCanonicalize:
     def test_description_dropped_at_depth(self):
@@ -145,12 +157,11 @@ class TestCollectPropertyPaths:
                 "model_latency": {"type": "number"},
             },
         }
-        pointers = [p for p, _ in collect_property_paths(schema)]
+        pointers = collect_property_paths(schema)
         assert pointers == ["/properties/ethernet_latency", "/properties/model_latency"]
 
-    def test_scalar_schema_is_root_only(self):
-        schema = {"type": "number"}
-        assert collect_property_paths(schema) == [("", schema)]
+    def test_scalar_schema_has_no_property_paths(self):
+        assert collect_property_paths({"type": "number"}) == []
 
     def test_nested_matches_recursive_oracle(self):
         schema = {
@@ -165,16 +176,16 @@ class TestCollectPropertyPaths:
                 "d": {"type": "string"},
             },
         }
-        pointers = [p for p, _ in collect_property_paths(schema)]
-        assert pointers == recursive_property_paths(schema)
+        assert collect_property_paths(schema) == recursive_property_paths(schema)
 
     def test_every_pointer_resolves(self):
         schema = {
             "type": "object",
             "properties": {"x/y": {"type": "object", "properties": {"~z": {}}}},
         }
-        for pointer, sub in collect_property_paths(schema):
-            assert resolve_pointer(schema, pointer) is sub
+        outer = schema["properties"]["x/y"]
+        assert [resolve_pointer(schema, p) for p in collect_property_paths(schema)] == [
+            outer, outer["properties"]["~z"]]
 
 
 # ---------------------------------------------------------------------------
