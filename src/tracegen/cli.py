@@ -24,7 +24,7 @@ from tracegen.schema import SchemaDoc, parse_schema
 from tracegen.traversal import (
     DEFAULT_MAX_PATHS,
     collect_optimizer_inputs,
-    find_runtime_scenarios,
+    summarize_traversal,
     traverse_from_scenario,
 )
 from tracegen.ttim import TtimDefinition, default_extended_framework, load_ttim
@@ -191,17 +191,19 @@ def cmd_generate(
         _warn("checks failed; run check for details")
         sys.exit(EXIT_CHECK_FAILED)
 
-    scenarios = find_runtime_scenarios(graph, ttim)
-    if not scenarios:
+    summary = summarize_traversal(graph, ttim)
+    if not summary.scenarios:
         _warn("warning: no runtime scenarios found")
     try:
-        results = [
-            traverse_from_scenario(graph, ttim, uid, max_paths_per_scenario)
-            for uid in scenarios
-        ]
-        for result in results:
-            _print_diagnostics(result.diagnostics)
-        paths = collect_optimizer_inputs(results, ttim, resolutions)
+        for uid in summary.scenarios:  # the cap holds before any path is listed
+            summary.count(uid, max_paths_per_scenario)
+        for uid in summary.scenarios:
+            _print_diagnostics(summary.warnings(uid))
+        summary.require_resolved(resolutions)
+        if output_format == "yaml":  # one record per path: list them
+            paths = collect_optimizer_inputs(
+                [traverse_from_scenario(summary, uid) for uid in summary.scenarios]
+            )
     except TracegenError as exc:
         _fail(exc, EXIT_CHECK_FAILED)
 
@@ -209,7 +211,7 @@ def cmd_generate(
         if output_format == "yaml":
             text = emit_yaml(config_schema, paths, graph, resolutions)
         else:
-            text = emit_plantuml(paths, graph, resolutions)
+            text = emit_plantuml(*summary.reached(summary.scenarios), graph, resolutions)
     except RecursionError:  # only PyYAML's representer, the block writer's fallback, recurses
         _fail("a schema or value is nested too deeply to write as YAML")
     if output_path:
@@ -229,13 +231,14 @@ def cmd_list_scenarios(
     graph, ttim, _ = _load_pipeline(
         repo_root, ttim_path, config_schema_path, globs, reverse_links
     )
-    for uid in find_runtime_scenarios(graph, ttim):
+    summary = summarize_traversal(graph, ttim)
+    for uid in summary.scenarios:
         try:
-            result = traverse_from_scenario(graph, ttim, uid, max_paths_per_scenario)
+            count = summary.count(uid, max_paths_per_scenario)
         except TracegenError as exc:
             _fail(exc, EXIT_CHECK_FAILED)
         label = one_line(graph.elements[uid].label or "")
-        click.echo(f"{uid}\t{label}\t{len(result.paths)}")
+        click.echo(f"{uid}\t{label}\t{count}")
     sys.exit(EXIT_OK)
 
 

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import yaml
 
-from tracegen.graph import TraceGraph
+from tracegen.graph import Edge, TraceGraph
 from tracegen.schema import SchemaDoc
 from tracegen.traversal import TracePath
 
@@ -181,17 +181,11 @@ def _aliases(uids: list[str]) -> dict[str, str]:
 
 
 def emit_plantuml(
-    paths: list[TracePath], graph: TraceGraph, resolutions: dict[str, Resolution]
+    nodes: set[str], edges: set[Edge], graph: TraceGraph, resolutions: dict[str, Resolution]
 ) -> str:
     """Component-diagram source: one node per uid on any trace, one labeled
-    arrow per distinct trace edge, and a legend of the optimizer inputs."""
-    nodes: set[str] = set()
-    edges: set[tuple[str, str, str]] = set()
-    for path in paths:
-        nodes.update(path.nodes)
-        # a path runs input-first; graph direction runs the other way
-        edges.update(zip(path.nodes[1:], path.link_types, path.nodes))
-
+    arrow per distinct trace edge, and a legend of the optimizer inputs among
+    the nodes."""
     uids = sorted(nodes)
     aliases = _aliases(uids)
     lines = ["@startuml"]
@@ -205,7 +199,7 @@ def emit_plantuml(
     for source, link_type, target in sorted(edges):
         lines.append(f"{aliases[source]} --> {aliases[target]} : {link_type}")
     lines.append("legend")
-    for uid in sorted({path.uid for path in paths}):
+    for uid in (uid for uid in uids if uid in resolutions):
         placement = graph.elements[uid].placement
         if placement is None:
             placement = "(no placement)"

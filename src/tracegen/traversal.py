@@ -1,5 +1,14 @@
 """Framework traversal: every simple path from a runtime scenario down to an
-optimizer input; those paths are the records that feed the emitters."""
+optimizer input; those paths are the records that feed the emitters.
+
+The summary counts and unites a scenario's paths without listing them. Take a
+node that is the first of its strongly connected component (SCC) on the path:
+no earlier path node is reachable from it, or it would share that component,
+so the depth-first search below it is the same whatever the prefix. That
+search is summarized once per such entry node. Only moves inside a
+nontrivial SCC still enumerate simple paths, since counting those is
+#P-complete.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from tracegen.errors import Diagnostic, TracegenError
-from tracegen.graph import TraceGraph, find_by_type
+from tracegen.graph import Edge, TraceGraph, find_by_type
 from tracegen.ttim import TtimDefinition
 
 if TYPE_CHECKING:
@@ -35,6 +44,8 @@ class TracePath:
 
 @dataclass
 class ScenarioResult:
+    """A scenario's paths with its cycle warnings."""
+
     paths: list[TracePath]
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
@@ -43,67 +54,246 @@ def find_runtime_scenarios(graph: TraceGraph, ttim: TtimDefinition) -> list[str]
     return find_by_type(graph, ttim.scenario_type)
 
 
-def traverse_from_scenario(
+@dataclass(frozen=True, slots=True)
+class _Entry:
+    """The search below an entry node, the first of its SCC on the path."""
+
+    count: int  # paths it records at or below the node
+    # in order of first occurrence: the cycle edges it prunes and the entries
+    # below whose search prunes any
+    events: tuple[Edge | str, ...]
+    used: tuple[Edge, ...]  # edges of the paths it records: in the SCC and out of it
+
+
+def _cycle_warning(graph: TraceGraph, edge: Edge) -> Diagnostic:
+    node, link_type, target = edge
+    element = graph.elements[node]
+    return Diagnostic(
+        "warning",
+        f"cycle edge {node} -{link_type}-> {target} pruned during traversal",
+        element.file,
+        element.line,
+    )
+
+
+@dataclass(frozen=True)
+class TraversalSummary:
+    """What each scenario's depth-first search finds, without its paths.
+
+    The search follows every link type except the schema link, visits
+    neighbours in (link_type, target) order, records a path at each optimizer
+    input, and prunes an edge back onto the current path.
+    """
+
+    graph: TraceGraph
+    ttim: TtimDefinition
+    scenarios: list[str]
+    _component: dict[str, str]
+    _entries: dict[str, _Entry]
+
+    def count(self, scenario: str, max_paths: int) -> int:
+        """The scenario's exact number of trace paths. More than ``max_paths``
+        raises; a ``max_paths`` below 1 allows none."""
+        count = self._entries[scenario].count
+        if count > max(max_paths, 0):
+            raise TracegenError(f"scenario {scenario!r} exceeds {max_paths} trace paths")
+        return count
+
+    def warnings(self, scenario: str) -> list[Diagnostic]:
+        """One warning per cycle edge the scenario's search prunes, in the
+        order it first prunes them."""
+        found: list[Diagnostic] = []
+        pruned: set[Edge] = set()
+        expanded = {scenario}
+        stack = [iter(self._entries[scenario].events)]
+        while stack:
+            for event in stack[-1]:
+                if type(event) is str:
+                    # a later visit of the same entry prunes nothing new
+                    if event not in expanded:
+                        expanded.add(event)
+                        stack.append(iter(self._entries[event].events))
+                        break
+                elif event not in pruned:
+                    pruned.add(event)
+                    found.append(_cycle_warning(self.graph, event))
+            else:
+                stack.pop()
+        return found
+
+    def reached(self, scenarios: list[str]) -> tuple[set[str], set[Edge]]:
+        """The nodes and edges of the given scenarios' trace paths."""
+        component = self._component
+        todo = [uid for uid in scenarios if self._entries[uid].count]
+        nodes = set(todo)  # a scenario with a path and the entries those paths visit
+        edges: set[Edge] = set()
+        while todo:
+            for edge in self._entries[todo.pop()].used:
+                edges.add(edge)
+                source, _, target = edge
+                if component[target] != component[source] and target not in nodes:
+                    nodes.add(target)
+                    todo.append(target)
+        for source, _, target in edges:
+            nodes.add(source)
+            nodes.add(target)
+        return nodes, edges
+
+    def require_resolved(self, resolutions: dict[str, Resolution]) -> None:
+        """Raise unless every input a path reaches has its schema and value;
+        the error names the first scenario's smallest such input.
+
+        Once the checks passed, an input can only lack them because the
+        meta-model lets it go without a schema link.
+        """
+        if all(resolution.complete for resolution in resolutions.values()):
+            return
+        for scenario in self.scenarios:
+            nodes, _ = self.reached([scenario])
+            missing = [uid for uid in nodes if uid in resolutions and not resolutions[uid].complete]
+            if missing:
+                raise TracegenError(f"{min(missing)!r} has no {self.ttim.schema_link!r} link")
+
+
+def _search_below(
     graph: TraceGraph,
     ttim: TtimDefinition,
-    scenario: str,
-    max_paths: int = DEFAULT_MAX_PATHS,
-) -> ScenarioResult:
-    """Depth-first enumeration of all simple paths from ``scenario`` to any
-    optimizer-input element, following every link type except the schema link.
+    entry: str,
+    component: dict[str, str],
+    summaries: dict[str, _Entry],
+) -> _Entry:
+    """The search below ``entry``: simple paths inside its component are
+    enumerated, and each move out of it takes the summary of the entry it
+    leads to."""
+    own = component[entry]
+    oi_type, schema_link = ttim.optimizer_input_type, ttim.schema_link
+    events: list[Edge | str] = []
+    noted: set[Edge | str] = set()
+    used: set[Edge] = set()
+    on_path = {entry}
+    recorded = graph.element_type(entry) == oi_type
+    count = int(recorded)
+    # one frame per path node: the node, its neighbour iterator, whether a
+    # path is recorded at or below it, and the edge into it
+    frames = [[entry, iter(graph.outgoing(entry)), recorded, None]]
+    while frames:
+        frame = frames[-1]
+        node = frame[0]
+        for link_type, target in frame[1]:
+            if link_type == schema_link:
+                continue
+            edge = (node, link_type, target)
+            if target in on_path:
+                if edge not in noted:
+                    noted.add(edge)
+                    events.append(edge)
+            elif component[target] != own:
+                below = summaries[target]
+                if below.count:
+                    count += below.count
+                    used.add(edge)
+                    frame[2] = True
+                if below.events and target not in noted:
+                    noted.add(target)
+                    events.append(target)
+            else:
+                on_path.add(target)
+                recorded = graph.element_type(target) == oi_type
+                count += recorded
+                frames.append([target, iter(graph.outgoing(target)), recorded, edge])
+                break
+        else:
+            frames.pop()
+            on_path.discard(node)
+            if frame[2] and frames:
+                used.add(frame[3])
+                frames[-1][2] = True
+    return _Entry(count, tuple(events), tuple(used))
 
-    Neighbors are visited in (link_type, target) order; revisiting a node on
-    the current path is pruned with one warning per offending edge, so the
-    search terminates on cyclic graphs too.
+
+def summarize_traversal(graph: TraceGraph, ttim: TtimDefinition) -> TraversalSummary:
+    """Summarize the search of every runtime scenario, each entry node once.
+
+    Tarjan's algorithm, with explicit stacks, finds the SCCs of the part of
+    the graph the scenarios reach without the schema link. A component is
+    finished after every component it reaches, so an entry is summarized as
+    soon as it is known: a component's root when the component is finished,
+    and any other node when an edge from a later component enters it.
     """
+    scenarios = find_runtime_scenarios(graph, ttim)
+    schema_link = ttim.schema_link
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    component: dict[str, str] = {}  # node -> its component's root
+    summaries: dict[str, _Entry] = {}
+    stack: list[str] = []
+
+    def summarize(entry: str) -> None:
+        if entry not in summaries:
+            summaries[entry] = _search_below(graph, ttim, entry, component, summaries)
+
+    for root in scenarios:
+        if root in index:  # finished while searching from an earlier scenario
+            summarize(root)
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(graph.outgoing(root)))]
+        while work:
+            node, edges = work[-1]
+            for link_type, target in edges:
+                if link_type == schema_link:
+                    continue
+                if target not in index:
+                    index[target] = low[target] = len(index)
+                    stack.append(target)
+                    work.append((target, iter(graph.outgoing(target))))
+                    break
+                if target in component:  # a finished component, entered from this one
+                    summarize(target)
+                elif index[target] < low[node]:  # on the stack: this node's component
+                    low[node] = index[target]
+            else:
+                work.pop()
+                if low[node] < index[node]:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    continue
+                member = None
+                while member != node:
+                    member = stack.pop()
+                    component[member] = node
+                summarize(node)
+    return TraversalSummary(graph, ttim, scenarios, component, summaries)
+
+
+def traverse_from_scenario(summary: TraversalSummary, scenario: str) -> ScenarioResult:
+    """Depth-first enumeration of the simple paths the summary counts for
+    ``scenario``, sorted by input, nodes and link types, with its warnings."""
+    graph, ttim = summary.graph, summary.ttim
     if scenario not in graph.elements or graph.element_type(scenario) != ttim.scenario_type:
         raise TracegenError(f"{scenario!r} is not an element of type {ttim.scenario_type!r}")
 
     paths: list[TracePath] = []
-    diagnostics: list[Diagnostic] = []
-    warned_edges: set[tuple[str, str, str]] = set()
     path: list[str] = [scenario]
     links: list[str] = []
     on_path: set[str] = {scenario}
-
-    def record() -> None:
-        if len(paths) >= max_paths:
-            raise TracegenError(
-                f"scenario {scenario!r} exceeds {max_paths} trace paths"
-            )
-        paths.append(
-            TracePath(nodes=tuple(reversed(path)), link_types=tuple(reversed(links)))
-        )
-
     if ttim.scenario_type == ttim.optimizer_input_type:
-        record()  # a meta-model may give both roles one type
+        paths.append(TracePath(nodes=(scenario,), link_types=()))
     # an explicit stack of neighbour iterators, one per node on the path, so
     # the depth is not bounded by the recursion limit
     stack = [iter(graph.outgoing(scenario))]
     while stack:
         for link_type, target in stack[-1]:
-            if link_type == ttim.schema_link:
-                continue
-            if target in on_path:
-                node = path[-1]
-                edge = (node, link_type, target)
-                if edge not in warned_edges:
-                    warned_edges.add(edge)
-                    element = graph.elements[node]
-                    diagnostics.append(
-                        Diagnostic(
-                            "warning",
-                            f"cycle edge {node} -{link_type}-> {target} pruned during traversal",
-                            element.file,
-                            element.line,
-                        )
-                    )
+            if link_type == ttim.schema_link or target in on_path:
                 continue
             on_path.add(target)
             path.append(target)
             links.append(link_type)
             if graph.element_type(target) == ttim.optimizer_input_type:
-                record()
+                paths.append(
+                    TracePath(nodes=tuple(reversed(path)), link_types=tuple(reversed(links)))
+                )
             stack.append(iter(graph.outgoing(target)))
             break
         else:
@@ -113,22 +303,9 @@ def traverse_from_scenario(
                 links.pop()
 
     paths.sort(key=lambda p: (p.nodes[0], p.nodes, p.link_types))
-    return ScenarioResult(paths=paths, diagnostics=diagnostics)
+    return ScenarioResult(paths=paths, diagnostics=summary.warnings(scenario))
 
 
-def collect_optimizer_inputs(
-    results: list[ScenarioResult],
-    ttim: TtimDefinition,
-    resolutions: dict[str, Resolution],
-) -> list[TracePath]:
-    """Every scenario's paths in order: the records of the intermediary document.
-
-    Each record's schema and value are its input's resolution. Once the checks
-    passed, an input can only lack them because the meta-model lets it go
-    without a schema link, which raises.
-    """
-    paths = [path for result in results for path in result.paths]
-    for path in paths:
-        if not resolutions[path.uid].complete:
-            raise TracegenError(f"{path.uid!r} has no {ttim.schema_link!r} link")
-    return paths
+def collect_optimizer_inputs(results: list[ScenarioResult]) -> list[TracePath]:
+    """Every scenario's paths in order: the records of the intermediary document."""
+    return [path for result in results for path in result.paths]

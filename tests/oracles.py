@@ -3,6 +3,11 @@ from the implementations they double-check."""
 
 import yaml
 
+from tracegen.errors import Diagnostic, TracegenError
+from tracegen.graph import TraceGraph
+from tracegen.traversal import DEFAULT_MAX_PATHS, ScenarioResult, TracePath
+from tracegen.ttim import TtimDefinition
+
 RECORD_FIELDS = {
     "file_name", "label", "placement", "treqs_type", "uid", "trace", "schema", "value",
 }
@@ -92,6 +97,81 @@ def brute_force_paths(edges, types, scenario, target_type, excluded_link):
                 continue
             frontier.append((nodes + (target,), links + (link_type,)))
     return found
+
+
+# The enumerator as it was before the traversal summary: the reference for
+# the summary's counts, unions and cycle warnings, and for the cap.
+def traverse_from_scenario(
+    graph: TraceGraph,
+    ttim: TtimDefinition,
+    scenario: str,
+    max_paths: int = DEFAULT_MAX_PATHS,
+) -> ScenarioResult:
+    """Depth-first enumeration of all simple paths from ``scenario`` to any
+    optimizer-input element, following every link type except the schema link.
+
+    Neighbors are visited in (link_type, target) order; revisiting a node on
+    the current path is pruned with one warning per offending edge, so the
+    search terminates on cyclic graphs too.
+    """
+    if scenario not in graph.elements or graph.element_type(scenario) != ttim.scenario_type:
+        raise TracegenError(f"{scenario!r} is not an element of type {ttim.scenario_type!r}")
+
+    paths: list[TracePath] = []
+    diagnostics: list[Diagnostic] = []
+    warned_edges: set[tuple[str, str, str]] = set()
+    path: list[str] = [scenario]
+    links: list[str] = []
+    on_path: set[str] = {scenario}
+
+    def record() -> None:
+        if len(paths) >= max_paths:
+            raise TracegenError(
+                f"scenario {scenario!r} exceeds {max_paths} trace paths"
+            )
+        paths.append(
+            TracePath(nodes=tuple(reversed(path)), link_types=tuple(reversed(links)))
+        )
+
+    if ttim.scenario_type == ttim.optimizer_input_type:
+        record()  # a meta-model may give both roles one type
+    # an explicit stack of neighbour iterators, one per node on the path, so
+    # the depth is not bounded by the recursion limit
+    stack = [iter(graph.outgoing(scenario))]
+    while stack:
+        for link_type, target in stack[-1]:
+            if link_type == ttim.schema_link:
+                continue
+            if target in on_path:
+                node = path[-1]
+                edge = (node, link_type, target)
+                if edge not in warned_edges:
+                    warned_edges.add(edge)
+                    element = graph.elements[node]
+                    diagnostics.append(
+                        Diagnostic(
+                            "warning",
+                            f"cycle edge {node} -{link_type}-> {target} pruned during traversal",
+                            element.file,
+                            element.line,
+                        )
+                    )
+                continue
+            on_path.add(target)
+            path.append(target)
+            links.append(link_type)
+            if graph.element_type(target) == ttim.optimizer_input_type:
+                record()
+            stack.append(iter(graph.outgoing(target)))
+            break
+        else:
+            stack.pop()
+            on_path.discard(path.pop())
+            if links:
+                links.pop()
+
+    paths.sort(key=lambda p: (p.nodes[0], p.nodes, p.link_types))
+    return ScenarioResult(paths=paths, diagnostics=diagnostics)
 
 
 def recursive_property_paths(schema):

@@ -20,13 +20,17 @@ from tracegen.elements import parse_file, scan_repository
 from tracegen.emit import emit_plantuml, emit_yaml
 from tracegen.graph import build_graph
 from tracegen.schema import canonicalize, parse_schema, validate_instance
-from tracegen.traversal import collect_optimizer_inputs, traverse_from_scenario
+from tracegen.traversal import (
+    collect_optimizer_inputs,
+    summarize_traversal,
+    traverse_from_scenario,
+)
 from tracegen.ttim import default_extended_framework
 
 from conftest import CONFIG_SCHEMA, repo_files, write_repo
 from oracles import brute_force_paths, expected_records, load_intermediary, naive_valid
 from test_schema import fuzz_pairs
-from test_traversal import random_dag
+from test_traversal import random_dag, traverse
 
 TTIM = default_extended_framework()
 
@@ -72,15 +76,15 @@ def test_criterion_1_fixture_reproduction(tmp_path):
     start = time.perf_counter()
     repo, schema_path = write_repo(tmp_path, repo_files())
     graph = load_graph(repo)
-    result = traverse_from_scenario(graph, TTIM, "RS1")
+    summary = summarize_traversal(graph, TTIM)
     resolutions = resolve_optimizer_inputs(graph, TTIM)
-    records = collect_optimizer_inputs([result], TTIM, resolutions)
+    records = collect_optimizer_inputs([traverse_from_scenario(summary, "RS1")])
     assert len(records) == 2
     for record in records:
         assert graph.element_type(record.uid) == "OptimizerInput"
         assert record.nodes[-1] == "RS1"
         assert graph.element_type(record.nodes[-1]) == "runtime-scenario"
-    uml = emit_plantuml(records, graph, resolutions)
+    uml = emit_plantuml(*summary.reached(["RS1"]), graph, resolutions)
     node_uids = {
         line.split('"')[1].split("\\n")[0]
         for line in uml.splitlines()
@@ -137,7 +141,7 @@ def test_criterion_3_traversal_oracle_equivalence():
         graph, types, scenario = random_dag(rng, rng.randint(2, 12))
         mine = {
             (tuple(reversed(p.nodes)), tuple(reversed(p.link_types)))
-            for p in traverse_from_scenario(graph, TTIM, scenario, max_paths=10**6).paths
+            for p in traverse(graph, scenario).paths
         }
         oracle = brute_force_paths(
             graph.edges, types, scenario, "OptimizerInput", TTIM.schema_link
@@ -177,7 +181,7 @@ def test_criterion_6_cyclic_graph_termination(tmp_path):
     repo, schema_path = write_repo(tmp_path, cyclic_repo_files())
     graph = load_graph(repo)
     start = time.perf_counter()
-    result = traverse_from_scenario(graph, TTIM, "RS1")
+    result = traverse(graph, "RS1")
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert any("cycle edge" in d.message for d in result.diagnostics)
@@ -196,9 +200,9 @@ def test_criterion_7_yaml_round_trip(tmp_path):
     for i, files in enumerate(fixtures):
         repo, _ = write_repo(tmp_path / f"fix{i}", files)
         graph = load_graph(repo)
-        result = traverse_from_scenario(graph, TTIM, "RS1")
+        result = traverse(graph, "RS1")
         resolutions = resolve_optimizer_inputs(graph, TTIM)
-        records = collect_optimizer_inputs([result], TTIM, resolutions)
+        records = collect_optimizer_inputs([result])
         text = emit_yaml(CONFIG_SCHEMA, records, graph, resolutions)
         assert load_intermediary(text) == (
             CONFIG_SCHEMA, expected_records(records, graph, resolutions))

@@ -10,12 +10,12 @@ from tracegen import emit
 from tracegen.checks import CheckReport, report_to_yaml, resolve_optimizer_inputs, run_all_checks
 from tracegen.emit import dump_yaml, emit_plantuml, emit_yaml
 from tracegen.errors import Diagnostic
-from tracegen.traversal import collect_optimizer_inputs, traverse_from_scenario
+from tracegen.traversal import collect_optimizer_inputs, summarize_traversal
 from tracegen.ttim import default_extended_framework
 
 from conftest import always_fall_back
 from oracles import expected_records, load_intermediary
-from test_traversal import fig_graph
+from test_traversal import fig_graph, traverse
 
 TTIM = default_extended_framework()
 
@@ -32,9 +32,17 @@ def fig_document():
     """The fixture's records with what the emitters read them against:
     (paths, graph, resolutions)."""
     graph = fig_graph()
-    results = [traverse_from_scenario(graph, TTIM, "RS1")]
+    results = [traverse(graph, "RS1")]
     resolutions = resolve_optimizer_inputs(graph, TTIM)
-    return collect_optimizer_inputs(results, TTIM, resolutions), graph, resolutions
+    return collect_optimizer_inputs(results), graph, resolutions
+
+
+def fig_overview():
+    """What the PlantUML emitter reads for the fixture: (nodes, edges, graph,
+    resolutions), the nodes and edges united by the traversal summary."""
+    graph = fig_graph()
+    summary = summarize_traversal(graph, TTIM)
+    return (*summary.reached(summary.scenarios), graph, resolve_optimizer_inputs(graph, TTIM))
 
 
 class TestYaml:
@@ -274,7 +282,7 @@ class TestDumpYaml:
 
 class TestPlantuml:
     def test_fixture_diagram(self):
-        text = emit_plantuml(*fig_document())
+        text = emit_plantuml(*fig_overview())
         assert text.startswith("@startuml")
         assert text.rstrip().endswith("@enduml")
         # one scenario node, two optimizer-input leaves
@@ -286,14 +294,14 @@ class TestPlantuml:
         assert "(number)" in legend
 
     def test_node_count_matches_trace_uids(self):
-        paths, graph, resolutions = fig_document()
-        text = emit_plantuml(paths, graph, resolutions)
+        paths, _, _ = fig_document()
+        text = emit_plantuml(*fig_overview())
         distinct_uids = {uid for path in paths for uid in path.nodes}
         assert text.count("component ") == len(distinct_uids)
 
     def test_no_orphan_nodes(self):
-        paths, graph, resolutions = fig_document()
-        text = emit_plantuml(paths, graph, resolutions)
+        paths, _, _ = fig_document()
+        text = emit_plantuml(*fig_overview())
         trace_uids = {uid for path in paths for uid in path.nodes}
         for line in text.splitlines():
             if line.startswith("component "):
@@ -301,7 +309,7 @@ class TestPlantuml:
                 assert uid in trace_uids
 
     def test_empty_document(self):
-        text = emit_plantuml([], fig_graph(), {})
+        text = emit_plantuml(set(), set(), fig_graph(), {})
         lines = text.strip().splitlines()
         assert lines[0] == "@startuml"
         assert lines[-1] == "@enduml"
@@ -309,7 +317,7 @@ class TestPlantuml:
         assert "legend" in text
 
     def test_edges_labeled_and_deduplicated(self):
-        text = emit_plantuml(*fig_document())
+        text = emit_plantuml(*fig_overview())
         arrows = [l for l in text.splitlines() if " --> " in l]
         assert len(arrows) == len(set(arrows))
         # shared scenario->abstraction edge appears once despite two paths
@@ -317,5 +325,4 @@ class TestPlantuml:
         assert all(" : " in l for l in arrows)
 
     def test_determinism(self):
-        doc = fig_document()
-        assert emit_plantuml(*doc) == emit_plantuml(*doc)
+        assert emit_plantuml(*fig_overview()) == emit_plantuml(*fig_overview())

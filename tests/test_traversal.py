@@ -11,6 +11,7 @@ from tracegen.graph import build_graph
 from tracegen.traversal import (
     collect_optimizer_inputs,
     find_runtime_scenarios,
+    summarize_traversal,
     traverse_from_scenario,
 )
 from tracegen.ttim import default_extended_framework
@@ -19,6 +20,11 @@ from conftest import mk_element
 from oracles import brute_force_paths
 
 TTIM = default_extended_framework()
+
+
+def traverse(graph, scenario, ttim=TTIM):
+    """The enumerator's paths and the summary's warnings for one scenario."""
+    return traverse_from_scenario(summarize_traversal(graph, ttim), scenario)
 
 
 def schema_body(schema):
@@ -66,7 +72,7 @@ class TestFindScenarios:
 
 class TestTraverse:
     def test_two_branches(self):
-        result = traverse_from_scenario(fig_graph(), TTIM, "RS1")
+        result = traverse(fig_graph(), "RS1")
         assert len(result.paths) == 2
         assert {p.nodes[0] for p in result.paths} == {"OI_ETH", "OI_MODEL"}
         for path in result.paths:
@@ -74,22 +80,22 @@ class TestTraverse:
             assert len(path.link_types) == len(path.nodes) - 1
 
     def test_schema_link_excluded_from_paths(self):
-        result = traverse_from_scenario(fig_graph(), TTIM, "RS1")
+        result = traverse(fig_graph(), "RS1")
         for path in result.paths:
             assert "describedBy" not in path.link_types
 
     def test_scenario_without_edges(self):
         graph, _ = build_graph([mk_element("RS1", "runtime-scenario")])
-        assert traverse_from_scenario(graph, TTIM, "RS1").paths == []
+        assert traverse(graph, "RS1").paths == []
 
     def test_not_a_scenario(self):
         with pytest.raises(TracegenError, match="'REQ_ETH' is not an element of type"):
-            traverse_from_scenario(fig_graph(), TTIM, "REQ_ETH")
+            traverse(fig_graph(), "REQ_ETH")
 
     def test_path_edges_exist_in_graph(self):
         graph = fig_graph()
         edge_set = set(graph.edges)
-        result = traverse_from_scenario(graph, TTIM, "RS1")
+        result = traverse(graph, "RS1")
         for path in result.paths:
             for i, link_type in enumerate(path.link_types):
                 assert (path.nodes[i + 1], link_type, path.nodes[i]) in edge_set
@@ -108,18 +114,20 @@ class TestTraverse:
             for e in elements
         ]
         graph, _ = build_graph(elements)
-        result = traverse_from_scenario(graph, TTIM, "RS1")
+        result = traverse(graph, "RS1")
         assert len(result.paths) == 2
         assert any("cycle edge" in d.message for d in result.diagnostics)
 
     def test_path_limit(self):
+        summary = summarize_traversal(fig_graph(), TTIM)
+        assert summary.count("RS1", 2) == 2
         with pytest.raises(TracegenError, match="'RS1' exceeds 1 trace paths"):
-            traverse_from_scenario(fig_graph(), TTIM, "RS1", max_paths=1)
+            summary.count("RS1", 1)
 
     def test_determinism(self):
         graph = fig_graph()
-        first = traverse_from_scenario(graph, TTIM, "RS1")
-        second = traverse_from_scenario(graph, TTIM, "RS1")
+        first = traverse(graph, "RS1")
+        second = traverse(graph, "RS1")
         assert first.paths == second.paths
 
 
@@ -158,7 +166,7 @@ class TestOracleEquivalence:
         rng = random.Random(123)
         for _ in range(200):
             graph, types, scenario = random_dag(rng, rng.randint(2, 12), repeat=0.1)
-            result = traverse_from_scenario(graph, TTIM, scenario, max_paths=10**6)
+            result = traverse(graph, scenario)
             paths = [(tuple(reversed(p.nodes)), tuple(reversed(p.link_types)))
                      for p in result.paths]
             # the oracle returns a set, which would hide a path found twice
@@ -170,16 +178,12 @@ class TestOracleEquivalence:
             assert mine == oracle
 
 
-def collect(results, graph):
-    return collect_optimizer_inputs(results, TTIM, resolve_optimizer_inputs(graph, TTIM))
-
-
 class TestCollect:
     def test_records_resolve_schema(self):
         graph = fig_graph()
-        results = [traverse_from_scenario(graph, TTIM, "RS1")]
+        results = [traverse(graph, "RS1")]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
-        records = collect_optimizer_inputs(results, TTIM, resolutions)
+        records = collect_optimizer_inputs(results)
         assert [r.uid for r in records] == ["OI_ETH", "OI_MODEL"]
         record = _record_mapping(records[0], graph, resolutions["OI_ETH"])
         assert record["schema"] == {"type": "number"}
@@ -205,9 +209,9 @@ class TestCollect:
         assert violation.severity == "error"
         assert violation.subject_uid == "OI_ETH"
         assert violation.message == "ambiguous schema link: 2 'describedBy' edges"
-        results = [traverse_from_scenario(graph, TTIM, "RS1")]
-        with pytest.raises(TracegenError, match="OI_ETH"):
-            collect(results, graph)
+        with pytest.raises(TracegenError, match="'OI_ETH' has no 'describedBy' link"):
+            summarize_traversal(graph, TTIM).require_resolved(
+                resolve_optimizer_inputs(graph, TTIM))
 
     def test_diamond_yields_two_records_for_one_input(self):
         # two scenarios reaching the same optimizer input
@@ -221,9 +225,9 @@ class TestCollect:
             mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=6),
         ]
         graph, _ = build_graph(elements)
-        results = [traverse_from_scenario(graph, TTIM, uid) for uid in ("RS1", "RS2")]
+        results = [traverse(graph, uid) for uid in ("RS1", "RS2")]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
-        records = collect_optimizer_inputs(results, TTIM, resolutions)
+        records = collect_optimizer_inputs(results)
         assert [r.uid for r in records] == ["OI1", "OI1"]
         assert records[0].nodes[-1] == "RS1"
         assert records[1].nodes[-1] == "RS2"
@@ -250,9 +254,9 @@ class TestCollect:
         ]
         graph, _ = build_graph(elements)
         scenarios = find_runtime_scenarios(graph, TTIM)
-        results = [traverse_from_scenario(graph, TTIM, uid) for uid in scenarios]
+        results = [traverse(graph, uid) for uid in scenarios]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
-        records = collect_optimizer_inputs(results, TTIM, resolutions)
+        records = collect_optimizer_inputs(results)
         assert records == [path for result in results for path in result.paths]
         expected = [
             (scenario, uid, link)
@@ -281,7 +285,7 @@ class TestDeepChain:
             elements.append(mk_element(f"R{i:04d}", "requirement", links=links, line=3 + i))
         elements.append(mk_element("OI1", "OptimizerInput", line=depth + 3))
         graph, _ = build_graph(elements)
-        result = traverse_from_scenario(graph, TTIM, "RS1")
+        result = traverse(graph, "RS1")
         (path,) = result.paths
         assert len(path.nodes) == depth + 3
         assert path.nodes[0] == "OI1" and path.nodes[-1] == "RS1"
