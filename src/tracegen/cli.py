@@ -191,19 +191,21 @@ def cmd_generate(
         _warn("checks failed; run check for details")
         sys.exit(EXIT_CHECK_FAILED)
 
-    summary = summarize_traversal(graph, ttim)
+    summary = summarize_traversal(graph, ttim, max_paths_per_scenario)
     if not summary.scenarios:
         _warn("warning: no runtime scenarios found")
     try:
         for uid in summary.scenarios:  # the cap holds before any path is listed
-            summary.count(uid, max_paths_per_scenario)
-        for uid in summary.scenarios:
-            _print_diagnostics(summary.warnings(uid))
+            summary.count(uid)
+        warnings = [summary.warnings(uid) for uid in summary.scenarios]
+        for found in warnings:
+            _print_diagnostics(found)
         summary.require_resolved(resolutions)
         if output_format == "yaml":  # one record per path: list them
-            paths = collect_optimizer_inputs(
-                [traverse_from_scenario(summary, uid) for uid in summary.scenarios]
-            )
+            paths = collect_optimizer_inputs([
+                traverse_from_scenario(graph, ttim, uid, found)
+                for uid, found in zip(summary.scenarios, warnings)
+            ])
     except TracegenError as exc:
         _fail(exc, EXIT_CHECK_FAILED)
 
@@ -231,10 +233,10 @@ def cmd_list_scenarios(
     graph, ttim, _ = _load_pipeline(
         repo_root, ttim_path, config_schema_path, globs, reverse_links
     )
-    summary = summarize_traversal(graph, ttim)
+    summary = summarize_traversal(graph, ttim, max_paths_per_scenario)
     for uid in summary.scenarios:
         try:
-            count = summary.count(uid, max_paths_per_scenario)
+            count = summary.count(uid)
         except TracegenError as exc:
             _fail(exc, EXIT_CHECK_FAILED)
         label = one_line(graph.elements[uid].label or "")

@@ -58,7 +58,7 @@ def find_runtime_scenarios(graph: TraceGraph, ttim: TtimDefinition) -> list[str]
 class _Entry:
     """The search below an entry node, the first of its SCC on the path."""
 
-    count: int  # paths it records at or below the node
+    count: int  # paths it records at or below the node; past the cap, a lower bound
     # in order of first occurrence: the cycle edges it prunes and the entries
     # below whose search prunes any
     events: tuple[Edge | str, ...]
@@ -82,22 +82,24 @@ class TraversalSummary:
 
     The search follows every link type except the schema link, visits
     neighbours in (link_type, target) order, records a path at each optimizer
-    input, and prunes an edge back onto the current path.
+    input, and prunes an edge back onto the current path. Summarizing stops at
+    ``over_cap``, the first scenario with more than ``max_paths`` paths.
     """
 
     graph: TraceGraph
     ttim: TtimDefinition
     scenarios: list[str]
+    max_paths: int
+    over_cap: str | None
     _component: dict[str, str]
     _entries: dict[str, _Entry]
 
-    def count(self, scenario: str, max_paths: int) -> int:
-        """The scenario's exact number of trace paths. More than ``max_paths``
-        raises; a ``max_paths`` below 1 allows none."""
-        count = self._entries[scenario].count
-        if count > max(max_paths, 0):
-            raise TracegenError(f"scenario {scenario!r} exceeds {max_paths} trace paths")
-        return count
+    def count(self, scenario: str) -> int:
+        """The scenario's exact number of trace paths. Ask in scenario order:
+        the scenario past the cap raises, and no later one is summarized."""
+        if scenario == self.over_cap:
+            raise TracegenError(f"scenario {scenario!r} exceeds {self.max_paths} trace paths")
+        return self._entries[scenario].count
 
     def warnings(self, scenario: str) -> list[Diagnostic]:
         """One warning per cycle edge the scenario's search prunes, in the
@@ -161,10 +163,11 @@ def _search_below(
     entry: str,
     component: dict[str, str],
     summaries: dict[str, _Entry],
+    cap: int,
 ) -> _Entry:
     """The search below ``entry``: simple paths inside its component are
     enumerated, and each move out of it takes the summary of the entry it
-    leads to."""
+    leads to. The search stops once its count passes ``cap``."""
     own = component[entry]
     oi_type, schema_link = ttim.optimizer_input_type, ttim.schema_link
     events: list[Edge | str] = []
@@ -177,6 +180,8 @@ def _search_below(
     # path is recorded at or below it, and the edge into it
     frames = [[entry, iter(graph.outgoing(entry)), recorded, None]]
     while frames:
+        if count > cap:  # whoever reaches this entry fails: its events go unused
+            return _Entry(count, (), ())
         frame = frames[-1]
         node = frame[0]
         for link_type, target in frame[1]:
@@ -211,31 +216,38 @@ def _search_below(
     return _Entry(count, tuple(events), tuple(used))
 
 
-def summarize_traversal(graph: TraceGraph, ttim: TtimDefinition) -> TraversalSummary:
-    """Summarize the search of every runtime scenario, each entry node once.
+def summarize_traversal(
+    graph: TraceGraph, ttim: TtimDefinition, max_paths: int = DEFAULT_MAX_PATHS
+) -> TraversalSummary:
+    """Summarize the search of each runtime scenario in order, each entry node
+    once, until a scenario has more than ``max_paths`` paths (below 1: any).
 
     Tarjan's algorithm, with explicit stacks, finds the SCCs of the part of
     the graph the scenarios reach without the schema link. A component is
     finished after every component it reaches, so an entry is summarized as
     soon as it is known: a component's root when the component is finished,
-    and any other node when an edge from a later component enters it.
+    and any other node when an edge from a later component enters it. Either
+    way Tarjan's path to it is a simple path from the current scenario on
+    which it is the first of its SCC, so an entry past the cap puts that
+    scenario past it too, and summarizing stops there.
     """
     scenarios = find_runtime_scenarios(graph, ttim)
     schema_link = ttim.schema_link
+    cap = max(max_paths, 0)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     component: dict[str, str] = {}  # node -> its component's root
     summaries: dict[str, _Entry] = {}
     stack: list[str] = []
 
-    def summarize(entry: str) -> None:
+    def summarize(entry: str) -> bool:
+        """Summarize ``entry`` once; False if it passes the cap."""
         if entry not in summaries:
-            summaries[entry] = _search_below(graph, ttim, entry, component, summaries)
+            summaries[entry] = _search_below(graph, ttim, entry, component, summaries, cap)
+        return summaries[entry].count <= cap
 
-    for root in scenarios:
-        if root in index:  # finished while searching from an earlier scenario
-            summarize(root)
-            continue
+    def search(root: str) -> bool:
+        """Tarjan from ``root``; False as soon as an entry passes the cap."""
         index[root] = low[root] = len(index)
         stack.append(root)
         work = [(root, iter(graph.outgoing(root)))]
@@ -250,7 +262,8 @@ def summarize_traversal(graph: TraceGraph, ttim: TtimDefinition) -> TraversalSum
                     work.append((target, iter(graph.outgoing(target))))
                     break
                 if target in component:  # a finished component, entered from this one
-                    summarize(target)
+                    if not summarize(target):
+                        return False
                 elif index[target] < low[node]:  # on the stack: this node's component
                     low[node] = index[target]
             else:
@@ -263,14 +276,29 @@ def summarize_traversal(graph: TraceGraph, ttim: TtimDefinition) -> TraversalSum
                 while member != node:
                     member = stack.pop()
                     component[member] = node
-                summarize(node)
-    return TraversalSummary(graph, ttim, scenarios, component, summaries)
+                if not summarize(node):
+                    return False
+        return True
+
+    over_cap = None
+    for root in scenarios:
+        # a scenario finished while searching from an earlier one is summarized alone
+        if not (summarize(root) if root in index else search(root)):
+            over_cap = root
+            break
+    return TraversalSummary(graph, ttim, scenarios, max_paths, over_cap, component, summaries)
 
 
-def traverse_from_scenario(summary: TraversalSummary, scenario: str) -> ScenarioResult:
+def traverse_from_scenario(
+    graph: TraceGraph,
+    ttim: TtimDefinition,
+    scenario: str,
+    warnings: list[Diagnostic] | None = None,
+) -> ScenarioResult:
     """Depth-first enumeration of the simple paths the summary counts for
-    ``scenario``, sorted by input, nodes and link types, with its warnings."""
-    graph, ttim = summary.graph, summary.ttim
+    ``scenario``, sorted by input, nodes and link types. ``warnings``, the
+    scenario's cycle warnings as ``TraversalSummary.warnings`` lists them,
+    ride along in the result."""
     if scenario not in graph.elements or graph.element_type(scenario) != ttim.scenario_type:
         raise TracegenError(f"{scenario!r} is not an element of type {ttim.scenario_type!r}")
 
@@ -303,7 +331,7 @@ def traverse_from_scenario(summary: TraversalSummary, scenario: str) -> Scenario
                 links.pop()
 
     paths.sort(key=lambda p: (p.nodes[0], p.nodes, p.link_types))
-    return ScenarioResult(paths=paths, diagnostics=summary.warnings(scenario))
+    return ScenarioResult(paths=paths, diagnostics=list(warnings or ()))
 
 
 def collect_optimizer_inputs(results: list[ScenarioResult]) -> list[TracePath]:

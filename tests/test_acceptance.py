@@ -30,7 +30,7 @@ from tracegen.ttim import default_extended_framework
 from conftest import CONFIG_SCHEMA, repo_files, write_repo
 from oracles import brute_force_paths, expected_records, load_intermediary, naive_valid
 from test_schema import fuzz_pairs
-from test_traversal import random_dag, traverse
+from test_traversal import random_dag
 
 TTIM = default_extended_framework()
 
@@ -78,7 +78,7 @@ def test_criterion_1_fixture_reproduction(tmp_path):
     graph = load_graph(repo)
     summary = summarize_traversal(graph, TTIM)
     resolutions = resolve_optimizer_inputs(graph, TTIM)
-    records = collect_optimizer_inputs([traverse_from_scenario(summary, "RS1")])
+    records = collect_optimizer_inputs([traverse_from_scenario(graph, TTIM, "RS1")])
     assert len(records) == 2
     for record in records:
         assert graph.element_type(record.uid) == "OptimizerInput"
@@ -141,7 +141,7 @@ def test_criterion_3_traversal_oracle_equivalence():
         graph, types, scenario = random_dag(rng, rng.randint(2, 12))
         mine = {
             (tuple(reversed(p.nodes)), tuple(reversed(p.link_types)))
-            for p in traverse(graph, scenario).paths
+            for p in traverse_from_scenario(graph, TTIM, scenario).paths
         }
         oracle = brute_force_paths(
             graph.edges, types, scenario, "OptimizerInput", TTIM.schema_link
@@ -181,10 +181,11 @@ def test_criterion_6_cyclic_graph_termination(tmp_path):
     repo, schema_path = write_repo(tmp_path, cyclic_repo_files())
     graph = load_graph(repo)
     start = time.perf_counter()
-    result = traverse(graph, "RS1")
+    result = traverse_from_scenario(graph, TTIM, "RS1")
+    warnings = summarize_traversal(graph, TTIM).warnings("RS1")
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    assert any("cycle edge" in d.message for d in result.diagnostics)
+    assert any("cycle edge" in d.message for d in warnings)
     types = {uid: graph.element_type(uid) for uid in graph.elements}
     oracle = brute_force_paths(graph.edges, types, "RS1", "OptimizerInput", TTIM.schema_link)
     mine = {
@@ -200,7 +201,7 @@ def test_criterion_7_yaml_round_trip(tmp_path):
     for i, files in enumerate(fixtures):
         repo, _ = write_repo(tmp_path / f"fix{i}", files)
         graph = load_graph(repo)
-        result = traverse(graph, "RS1")
+        result = traverse_from_scenario(graph, TTIM, "RS1")
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs([result])
         text = emit_yaml(CONFIG_SCHEMA, records, graph, resolutions)

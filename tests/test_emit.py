@@ -10,12 +10,16 @@ from tracegen import emit
 from tracegen.checks import CheckReport, report_to_yaml, resolve_optimizer_inputs, run_all_checks
 from tracegen.emit import dump_yaml, emit_plantuml, emit_yaml
 from tracegen.errors import Diagnostic
-from tracegen.traversal import collect_optimizer_inputs, summarize_traversal
+from tracegen.traversal import (
+    collect_optimizer_inputs,
+    summarize_traversal,
+    traverse_from_scenario,
+)
 from tracegen.ttim import default_extended_framework
 
 from conftest import always_fall_back
 from oracles import expected_records, load_intermediary
-from test_traversal import fig_graph, traverse
+from test_traversal import fig_graph
 
 TTIM = default_extended_framework()
 
@@ -32,7 +36,7 @@ def fig_document():
     """The fixture's records with what the emitters read them against:
     (paths, graph, resolutions)."""
     graph = fig_graph()
-    results = [traverse(graph, "RS1")]
+    results = [traverse_from_scenario(graph, TTIM, "RS1")]
     resolutions = resolve_optimizer_inputs(graph, TTIM)
     return collect_optimizer_inputs(results), graph, resolutions
 

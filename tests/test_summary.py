@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from tracegen.cli import cli
+from tracegen.errors import TracegenError
 from tracegen.graph import build_graph
 from tracegen.traversal import find_runtime_scenarios, summarize_traversal, traverse_from_scenario
 from tracegen.ttim import default_extended_framework
@@ -32,7 +33,7 @@ def run(*args):
 def assert_matches_reference(graph, ttim):
     """Each scenario's count, nodes, edges, inputs and warnings equal what the
     reference enumerator's paths give; the enumerator lists the same paths."""
-    summary = summarize_traversal(graph, ttim)
+    summary = summarize_traversal(graph, ttim, UNLIMITED)
     assert summary.scenarios == find_runtime_scenarios(graph, ttim)
     all_nodes, all_edges = set(), set()
     for scenario in summary.scenarios:
@@ -42,16 +43,33 @@ def assert_matches_reference(graph, ttim):
             edge for path in reference.paths
             for edge in zip(path.nodes[1:], path.link_types, path.nodes)
         }
-        assert summary.count(scenario, UNLIMITED) == len(reference.paths)
+        assert summary.count(scenario) == len(reference.paths)
         assert summary.reached([scenario]) == (nodes, edges)
         inputs = {uid for uid in nodes if graph.element_type(uid) == ttim.optimizer_input_type}
         assert inputs == {path.uid for path in reference.paths}
         assert summary.warnings(scenario) == reference.diagnostics
-        assert traverse_from_scenario(summary, scenario) == reference
+        assert traverse_from_scenario(graph, ttim, scenario).paths == reference.paths
         all_nodes |= nodes
         all_edges |= edges
     assert summary.reached(summary.scenarios) == (all_nodes, all_edges)
     return summary
+
+
+def assert_capped_like_reference(graph, ttim, cap):
+    """Under ``cap`` the summary counts the scenarios in order up to the first
+    with more paths, and that one raises the reference's error."""
+    summary = summarize_traversal(graph, ttim, cap)
+    for scenario in summary.scenarios:
+        try:
+            expected = len(oracles.traverse_from_scenario(graph, ttim, scenario, cap).paths)
+        except TracegenError as exc:
+            with pytest.raises(TracegenError) as raised:
+                summary.count(scenario)
+            assert str(raised.value) == str(exc)
+            return scenario
+        assert summary.count(scenario) == expected
+    assert summary.over_cap is None
+    return None
 
 
 def random_cyclic_graph(rng, n, seen):
@@ -92,7 +110,9 @@ class TestDifferential:
         for _ in range(400):
             graph = random_cyclic_graph(rng, rng.randint(2, 11), seen)
             summary = assert_matches_reference(graph, ttim)
-            counts = {uid: summary.count(uid, UNLIMITED) for uid in summary.scenarios}
+            counts = {uid: summary.count(uid) for uid in summary.scenarios}
+            seen["over the cap"] += bool(
+                assert_capped_like_reference(graph, ttim, rng.randint(-1, 6)))
             seen["paths"] += any(counts.values())
             # paths past pruned cycle edges; past several, as in a larger SCC
             seen["paths past a cycle"] += any(
@@ -109,7 +129,7 @@ class TestDifferential:
             mk_element("A", "abstraction-level", links=[("contains", "RS")], line=2),
         ])
         summary = assert_matches_reference(graph, SCENARIO_INPUTS)
-        assert summary.count("RS", 1) == 1
+        assert summary.count("RS") == 1
         # neighbours in (link_type, target) order: refines before scopes
         assert [d.message for d in summary.warnings("RS")] == [
             "cycle edge RS -refines-> RS pruned during traversal",
@@ -220,24 +240,76 @@ def ladder_repo(tmp_path, diamonds):
     return write_repo(tmp_path, files)
 
 
+def requirements_repo(tmp_path, links, contained):
+    """The fixture with AL1 containing only ``contained``, and the
+    requirements whose (link type, target) lists ``links`` maps."""
+    files = repo_files()
+    files["extra.md"] = "".join(
+        f'<treqs-element id="{uid}" type="requirement">\n'
+        + "".join(f'<treqs-link type="{lt}" target="{t}" />\n' for lt, t in targets)
+        + "</treqs-element>\n"
+        for uid, targets in links.items())
+    files["architecture.md"] = files["architecture.md"].replace(
+        '<treqs-link type="contains" target="REQ_ETH" />\n'
+        '<treqs-link type="contains" target="REQ_MODEL" />\n',
+        "".join(f'<treqs-link type="contains" target="{uid}" />\n' for uid in contained),
+    )
+    return write_repo(tmp_path, files)
+
+
 def chain_repo(tmp_path, depth, back_edges):
     """AL1 contains only CH0 of a ``refines`` chain of ``depth`` requirements
     whose last one realizes OI_ETH; with ``back_edges`` each requirement after
     CH0 also refines CH0, so the chain is one SCC."""
-    chain = []
+    links = {}
     for i in range(depth):
         target = ("refines", f"CH{i + 1}") if i + 1 < depth else ("realizes", "OI_ETH")
-        links = [target] + ([("refines", "CH0")] if back_edges and i else [])
-        chain.append(f'<treqs-element id="CH{i}" type="requirement">\n' + "".join(
-            f'<treqs-link type="{lt}" target="{t}" />\n' for lt, t in links) + "</treqs-element>\n")
-    files = repo_files()
-    files["chain.md"] = "".join(chain)
-    files["architecture.md"] = files["architecture.md"].replace(
-        '<treqs-link type="contains" target="REQ_ETH" />\n'
-        '<treqs-link type="contains" target="REQ_MODEL" />',
-        '<treqs-link type="contains" target="CH0" />',
-    )
-    return write_repo(tmp_path, files)
+        links[f"CH{i}"] = [target] + ([("refines", "CH0")] if back_edges and i else [])
+    return requirements_repo(tmp_path, links, ["CH0"])
+
+
+def clique(prefix, size):
+    """``size`` requirements that all refine each other."""
+    uids = [f"{prefix}{i:02d}" for i in range(size)]
+    return {uid: [("refines", other) for other in uids if other != uid] for uid in uids}
+
+
+@pytest.mark.parametrize("command", [
+    ("list-scenarios",), ("generate", "--format", "yaml"), ("generate", "--format", "plantuml"),
+], ids=["list-scenarios", "generate-yaml", "generate-plantuml"])
+def test_dense_component_fails_at_the_cap(tmp_path, command):
+    """In a clique of 12 requirements of which the last realizes an input,
+    nearly every simple path is a trace path: millions. The cap stops the
+    search soon after the 10,000th, as it stopped the enumerator."""
+    links = clique("CQ", 12)
+    links["CQ11"].append(("realizes", "OI_ETH"))
+    repo, schema = requirements_repo(tmp_path, links, ["CQ00"])
+    start = time.perf_counter()
+    result = run(*command[:1], repo, "--config-schema", schema, *command[1:])
+    assert time.perf_counter() - start < 1
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1, "", "error: scenario 'RS1' exceeds 10000 trace paths\n")
+
+
+def test_cap_stops_before_a_later_component(tmp_path):
+    """The enumerator failed before it reached a component later in its
+    order; so does the summary, even when the entry past the cap is not the
+    first of its component to be summarized.
+
+    AL1 contains P, Q00 and Z00. P, the 8-clique Q and the edge Q03 -> P
+    form one component, found from P: P's only path is its own input. Entered
+    at Q00, paths through Q03 and P pass the cap of 100. Z is a 10-clique
+    without an input, a million simple paths from Z00 that the enumerator
+    never listed."""
+    links = {"P": [("realizes", "OI_ETH"), ("refines", "Q00")], **clique("Q", 8), **clique("Z", 10)}
+    links["Q03"].append(("refines", "P"))
+    repo, schema = requirements_repo(tmp_path, links, ["P", "Q00", "Z00"])
+    start = time.perf_counter()
+    result = run("list-scenarios", repo, "--config-schema", schema,
+                 "--max-paths-per-scenario", 100)
+    assert time.perf_counter() - start < 2
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        1, "", "error: scenario 'RS1' exceeds 100 trace paths\n")
 
 
 class TestExactCounts:

@@ -22,11 +22,6 @@ from oracles import brute_force_paths
 TTIM = default_extended_framework()
 
 
-def traverse(graph, scenario, ttim=TTIM):
-    """The enumerator's paths and the summary's warnings for one scenario."""
-    return traverse_from_scenario(summarize_traversal(graph, ttim), scenario)
-
-
 def schema_body(schema):
     return "```json\n" + json.dumps(schema) + "\n```\n"
 
@@ -72,7 +67,7 @@ class TestFindScenarios:
 
 class TestTraverse:
     def test_two_branches(self):
-        result = traverse(fig_graph(), "RS1")
+        result = traverse_from_scenario(fig_graph(), TTIM, "RS1")
         assert len(result.paths) == 2
         assert {p.nodes[0] for p in result.paths} == {"OI_ETH", "OI_MODEL"}
         for path in result.paths:
@@ -80,22 +75,22 @@ class TestTraverse:
             assert len(path.link_types) == len(path.nodes) - 1
 
     def test_schema_link_excluded_from_paths(self):
-        result = traverse(fig_graph(), "RS1")
+        result = traverse_from_scenario(fig_graph(), TTIM, "RS1")
         for path in result.paths:
             assert "describedBy" not in path.link_types
 
     def test_scenario_without_edges(self):
         graph, _ = build_graph([mk_element("RS1", "runtime-scenario")])
-        assert traverse(graph, "RS1").paths == []
+        assert traverse_from_scenario(graph, TTIM, "RS1").paths == []
 
     def test_not_a_scenario(self):
         with pytest.raises(TracegenError, match="'REQ_ETH' is not an element of type"):
-            traverse(fig_graph(), "REQ_ETH")
+            traverse_from_scenario(fig_graph(), TTIM, "REQ_ETH")
 
     def test_path_edges_exist_in_graph(self):
         graph = fig_graph()
         edge_set = set(graph.edges)
-        result = traverse(graph, "RS1")
+        result = traverse_from_scenario(graph, TTIM, "RS1")
         for path in result.paths:
             for i, link_type in enumerate(path.link_types):
                 assert (path.nodes[i + 1], link_type, path.nodes[i]) in edge_set
@@ -114,20 +109,19 @@ class TestTraverse:
             for e in elements
         ]
         graph, _ = build_graph(elements)
-        result = traverse(graph, "RS1")
-        assert len(result.paths) == 2
-        assert any("cycle edge" in d.message for d in result.diagnostics)
+        assert len(traverse_from_scenario(graph, TTIM, "RS1").paths) == 2
+        warnings = summarize_traversal(graph, TTIM).warnings("RS1")
+        assert any("cycle edge" in d.message for d in warnings)
 
     def test_path_limit(self):
-        summary = summarize_traversal(fig_graph(), TTIM)
-        assert summary.count("RS1", 2) == 2
+        assert summarize_traversal(fig_graph(), TTIM, 2).count("RS1") == 2
         with pytest.raises(TracegenError, match="'RS1' exceeds 1 trace paths"):
-            summary.count("RS1", 1)
+            summarize_traversal(fig_graph(), TTIM, 1).count("RS1")
 
     def test_determinism(self):
         graph = fig_graph()
-        first = traverse(graph, "RS1")
-        second = traverse(graph, "RS1")
+        first = traverse_from_scenario(graph, TTIM, "RS1")
+        second = traverse_from_scenario(graph, TTIM, "RS1")
         assert first.paths == second.paths
 
 
@@ -166,7 +160,7 @@ class TestOracleEquivalence:
         rng = random.Random(123)
         for _ in range(200):
             graph, types, scenario = random_dag(rng, rng.randint(2, 12), repeat=0.1)
-            result = traverse(graph, scenario)
+            result = traverse_from_scenario(graph, TTIM, scenario)
             paths = [(tuple(reversed(p.nodes)), tuple(reversed(p.link_types)))
                      for p in result.paths]
             # the oracle returns a set, which would hide a path found twice
@@ -181,7 +175,7 @@ class TestOracleEquivalence:
 class TestCollect:
     def test_records_resolve_schema(self):
         graph = fig_graph()
-        results = [traverse(graph, "RS1")]
+        results = [traverse_from_scenario(graph, TTIM, "RS1")]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
         assert [r.uid for r in records] == ["OI_ETH", "OI_MODEL"]
@@ -225,7 +219,7 @@ class TestCollect:
             mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=6),
         ]
         graph, _ = build_graph(elements)
-        results = [traverse(graph, uid) for uid in ("RS1", "RS2")]
+        results = [traverse_from_scenario(graph, TTIM, uid) for uid in ("RS1", "RS2")]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
         assert [r.uid for r in records] == ["OI1", "OI1"]
@@ -254,7 +248,7 @@ class TestCollect:
         ]
         graph, _ = build_graph(elements)
         scenarios = find_runtime_scenarios(graph, TTIM)
-        results = [traverse(graph, uid) for uid in scenarios]
+        results = [traverse_from_scenario(graph, TTIM, uid) for uid in scenarios]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
         assert records == [path for result in results for path in result.paths]
@@ -285,11 +279,11 @@ class TestDeepChain:
             elements.append(mk_element(f"R{i:04d}", "requirement", links=links, line=3 + i))
         elements.append(mk_element("OI1", "OptimizerInput", line=depth + 3))
         graph, _ = build_graph(elements)
-        result = traverse(graph, "RS1")
+        result = traverse_from_scenario(graph, TTIM, "RS1")
         (path,) = result.paths
         assert len(path.nodes) == depth + 3
         assert path.nodes[0] == "OI1" and path.nodes[-1] == "RS1"
-        assert [d.message for d in result.diagnostics] == [
+        assert [d.message for d in summarize_traversal(graph, TTIM).warnings("RS1")] == [
             f"cycle edge R{i:04d} -refines-> R0000 pruned during traversal"
             for i in range(1, depth)
         ]
