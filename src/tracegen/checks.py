@@ -134,7 +134,9 @@ class Resolution:
     complete: bool = False  # schema and value both read
 
 
-def _resolve(graph: TraceGraph, ttim: TtimDefinition, oi_uid: str) -> Resolution:
+def _resolve(
+    graph: TraceGraph, ttim: TtimDefinition, oi_uid: str, schemas: dict[str, SchemaDoc | None]
+) -> Resolution:
     found: list[Diagnostic] = []
 
     def note(severity: str, uid: str, message: str) -> None:
@@ -162,15 +164,17 @@ def _resolve(graph: TraceGraph, ttim: TtimDefinition, oi_uid: str) -> Resolution
     if len(targets) > 1:
         note("error", oi_uid, f"ambiguous schema link: {len(targets)} {ttim.schema_link!r} edges")
         return Resolution(tuple(found))
-    has_schema, schema = read(
-        graph.elements[targets[0]], "schema-type element carries no fenced JSON block", parse_schema
-    )
-    if not has_schema:
+    target = targets[0]
+    if target not in schemas:  # read once; its findings go with this first input
+        _, schemas[target] = read(
+            graph.elements[target], "schema-type element carries no fenced JSON block", parse_schema
+        )
+    if schemas[target] is None:
         return Resolution(tuple(found))
     has_value, value = read(
         graph.elements[oi_uid], "optimizer input carries no fenced JSON instance", lambda v: v
     )
-    return Resolution(tuple(found), schema, value, has_value)
+    return Resolution(tuple(found), schemas[target], value, has_value)
 
 
 def resolve_optimizer_inputs(
@@ -178,9 +182,14 @@ def resolve_optimizer_inputs(
 ) -> dict[str, Resolution]:
     """Apply the schema-link and fence rules once per optimizer input: it has
     one schema link to an element whose first fenced JSON block is a schema,
-    and carries its own instance value in a fenced JSON block."""
+    and carries its own instance value in a fenced JSON block.
+
+    Each schema-type body is read once: the inputs that link to it share its
+    schema, and its check-2 findings are reported once, with the first of them.
+    """
+    schemas: dict[str, SchemaDoc | None] = {}  # schema-type uid -> schema, None if unreadable
     return {
-        uid: _resolve(graph, ttim, uid)
+        uid: _resolve(graph, ttim, uid, schemas)
         for uid in find_by_type(graph, ttim.optimizer_input_type)
     }
 

@@ -55,7 +55,7 @@ def _load_pipeline(
     ttim_path: str | None,
     config_schema_path: str,
     globs: tuple[str, ...],
-    reverse_links: bool = False,
+    reverse_links: bool,
 ) -> tuple[TraceGraph, TtimDefinition, SchemaDoc]:
     """Shared front half of every subcommand; a fatal input problem ends the
     run with exit 2."""
@@ -78,11 +78,9 @@ def _load_pipeline(
         parsed, file_diags = elements_mod.parse_file(file)
         all_elements.extend(parsed)
         diagnostics.extend(file_diags)
-    graph, build_diags = build_graph(all_elements)
+    graph, build_diags = build_graph(all_elements, reverse_links)
     diagnostics.extend(build_diags)
     _print_diagnostics(diagnostics)
-    if reverse_links:
-        graph = graph.reversed()
     return graph, ttim, config_schema
 
 

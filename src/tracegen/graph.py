@@ -24,31 +24,15 @@ class TraceGraph:
     def element_type(self, uid: str) -> str:
         return self.elements[uid].element_type
 
-    def reversed(self) -> "TraceGraph":
-        """Same nodes with every edge flipped; used by --reverse-links."""
-        flipped = tuple(sorted((t, lt, s) for s, lt, t in self.edges))
-        return TraceGraph(
-            elements=self.elements,
-            edges=flipped,
-            by_type=self.by_type,
-            _adjacency=_build_adjacency(flipped),
-        )
-
-
-def _build_adjacency(edges: tuple[Edge, ...]) -> dict[str, tuple[tuple[str, str], ...]]:
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for source, link_type, target in edges:
-        adj.setdefault(source, []).append((link_type, target))
-    return {uid: tuple(sorted(pairs)) for uid, pairs in adj.items()}
-
 
 def build_graph(
-    elements: list[RawElement],
+    elements: list[RawElement], reverse_links: bool
 ) -> tuple[TraceGraph, list[Diagnostic]]:
     """Resolve links and index elements; every problem becomes a diagnostic.
 
     Duplicate uids keep the earliest file's (then line's) occurrence; links to
     unknown uids are dropped, and a link repeated in one element is kept once.
+    ``reverse_links`` turns each edge from the link's target to its element.
     """
     diagnostics: list[Diagnostic] = []
     kept: dict[str, RawElement] = {}
@@ -70,6 +54,8 @@ def build_graph(
     for element in kept.values():
         for link in element.links:
             edge = (element.uid, link.link_type, link.target_uid)
+            if reverse_links:
+                edge = edge[::-1]
             if link.target_uid not in kept:
                 severity, problem = "error", "dangling link {!r} to unknown uid {!r}"
             elif edge in edge_set:
@@ -79,16 +65,19 @@ def build_graph(
                 continue
             message = problem.format(link.link_type, link.target_uid)
             diagnostics.append(Diagnostic(severity, message, element.file, link.line))
-    edges = sorted(edge_set)
+    edges = tuple(sorted(edge_set))
+    adjacency: dict[str, list[tuple[str, str]]] = {}
+    for source, link_type, target in edges:  # in order, as the edges are sorted
+        adjacency.setdefault(source, []).append((link_type, target))
 
     by_type: dict[str, list[str]] = {}
     for uid, element in kept.items():
         by_type.setdefault(element.element_type, []).append(uid)
     graph = TraceGraph(
         elements=kept,
-        edges=tuple(edges),
+        edges=edges,
         by_type={t: tuple(sorted(uids)) for t, uids in by_type.items()},
-        _adjacency=_build_adjacency(tuple(edges)),
+        _adjacency={uid: tuple(pairs) for uid, pairs in adjacency.items()},
     )
     return graph, diagnostics
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from tracegen.errors import PointerUnresolvable, SchemaError, TracegenError
+from tracegen.errors import PointerUnresolvable, SchemaError
 
 SchemaDoc = dict
 
@@ -192,30 +192,22 @@ def is_valid_pointer(text: str) -> bool:
     return _POINTER_RE.fullmatch(text) is not None
 
 
-def parse_pointer(text: str) -> list[str]:
-    """Split a textual JSON Pointer into decoded reference tokens."""
-    if not is_valid_pointer(text):
-        raise TracegenError(f"malformed JSON Pointer {text!r}")
-    if text == "":
-        return []
-    return [unescape_token(tok) for tok in text.split("/")[1:]]
+def resolve_pointer(schema: SchemaDoc, pointer: str) -> SchemaDoc:
+    """The subschema that a valid JSON Pointer names in a parsed schema.
 
-
-def resolve_pointer(doc: Any, pointer: str) -> Any:
-    """Evaluate a JSON Pointer against ``doc`` per the standard semantics."""
-    current = doc
-    for token in parse_pointer(pointer):
-        if isinstance(current, dict):
-            if token not in current:
-                raise PointerUnresolvable(token, pointer)
-            current = current[token]
-        elif isinstance(current, list):
-            if not re.fullmatch(r"0|[1-9][0-9]*", token):
-                raise PointerUnresolvable(token, pointer)
-            index = int(token)
-            if index >= len(current):
-                raise PointerUnresolvable(token, pointer)
-            current = current[index]
+    Each step enters a subschema through object keys, ``properties/<name>``
+    or ``items``; an array index or any other keyword's value is unresolvable.
+    """
+    current = schema
+    tokens = (unescape_token(token) for token in pointer.split("/")[1:])
+    for token in tokens:
+        if token == "items" and token in current:
+            current = current["items"]
+        elif token == "properties" and token in current:
+            name = next(tokens, None)
+            if name not in current["properties"]:
+                raise PointerUnresolvable(token if name is None else name, pointer)
+            current = current["properties"][name]
         else:
             raise PointerUnresolvable(token, pointer)
     return current
@@ -225,8 +217,9 @@ def canonicalize(schema: SchemaDoc) -> SchemaDoc:
     """Normalize a schema for comparison.
 
     Drops annotation keywords at every level, sorts object keys, sorts the
-    required list, and sorts enum members by their canonical JSON text.
-    Idempotent by construction.
+    required list, writes each integral float as an int (numbers compare by
+    value, as in ``json_equal``), and sorts enum members by their canonical
+    JSON text. Idempotent by construction.
     """
     out: dict[str, Any] = {}
     for key in sorted(schema):
@@ -240,10 +233,19 @@ def canonicalize(schema: SchemaDoc) -> SchemaDoc:
         elif key == "required":
             out[key] = sorted(value)
         elif key == "enum":
-            out[key] = sorted(value, key=lambda m: json.dumps(m, sort_keys=True))
+            out[key] = sorted(map(_by_value, value), key=lambda m: json.dumps(m, sort_keys=True))
         else:
-            out[key] = value
+            out[key] = _by_value(value)
     return out
+
+
+def _by_value(value: Any) -> Any:
+    """``value`` with each integral float written as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (dict, list)):  # through json, so that depth costs no Python frames
+        return json.loads(json.dumps(value), parse_float=lambda text: _by_value(float(text)))
+    return value
 
 
 def canonical_text(schema: SchemaDoc) -> str:

@@ -46,7 +46,7 @@ def load_graph(repo):
         parsed, diagnostics = parse_file(file)
         assert not any(d.severity == "error" for d in diagnostics)
         elements.extend(parsed)
-    graph, diagnostics = build_graph(elements)
+    graph, diagnostics = build_graph(elements, reverse_links=False)
     assert diagnostics == []
     return graph
 

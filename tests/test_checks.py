@@ -2,6 +2,8 @@ import json
 import random
 import time
 
+import pytest
+
 from tracegen.checks import (
     CHECK_INTERNAL_SCHEMA,
     CHECK_METAMODEL,
@@ -103,7 +105,7 @@ class TestInternalSchema:
             if e.uid == "OI_ETH" else e
             for e in graph.elements.values()
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         out = check2(graph)
         (v,) = errors(out)
         assert v.subject_uid == "OI_ETH"
@@ -118,7 +120,7 @@ class TestInternalSchema:
             if e.uid == "ST_ETH" else e
             for e in graph.elements.values()
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         out = errors(check2(graph))
         assert len(out) == 1
         assert out[0].subject_uid == "ST_ETH"
@@ -130,7 +132,7 @@ class TestInternalSchema:
             if e.uid == "ST_ETH" else e
             for e in graph.elements.values()
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         out = errors(check2(graph))
         assert "no fenced JSON" in out[0].message
 
@@ -142,9 +144,28 @@ class TestInternalSchema:
             if e.uid == "OI_ETH" else e
             for e in graph.elements.values()
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         out = errors(check2(graph))
         assert out[0].subject_uid == "OI_ETH"
+
+    def test_shared_schema_type_read_once(self):
+        # OI_MODEL links ST_ETH too: one schema object, and a broken body is
+        # one finding, carried by the first input that links to it
+        def shared(st_body):
+            elements = dict(fig_graph().elements)
+            elements["OI_MODEL"] = mk_element(
+                "OI_MODEL", "OptimizerInput", links=[("describedBy", "ST_ETH")],
+                body=schema_body(50), placement="/properties/model_latency", line=6)
+            elements["ST_ETH"] = mk_element("ST_ETH", "schema-type", body=st_body, line=7)
+            graph, _ = build_graph(list(elements.values()), reverse_links=False)
+            return graph, resolve_optimizer_inputs(graph, TTIM)
+
+        _, resolutions = shared(schema_body({"type": "number"}))
+        assert resolutions["OI_ETH"].schema is resolutions["OI_MODEL"].schema
+        graph, resolutions = shared(schema_body({"type": "float"}))
+        assert [len(resolutions[uid].violations) for uid in ("OI_ETH", "OI_MODEL")] == [1, 0]
+        (v,) = check2(graph)
+        assert (v.subject_uid, v.message) == ("ST_ETH", "invalid type 'float' (at <root>)")
 
     def test_ambiguous_schema_link_flagged(self):
         graph = fig_graph()
@@ -155,7 +176,7 @@ class TestInternalSchema:
             if e.uid == "OI_ETH" else e
             for e in graph.elements.values()
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         out = errors(check2(graph))
         assert "ambiguous" in out[0].message
 
@@ -194,6 +215,29 @@ class TestSemanticEquivalence:
         assert len(out) == 1
         assert "unresolvable" in out[0].message
 
+    @pytest.mark.parametrize(
+        "configured, required, equal",
+        [
+            ({"minimum": 0.0}, {"minimum": 0}, True),
+            ({"enum": [1, 2]}, {"enum": [2.0, 1]}, True),
+            ({"const": {"a": [1e20, -0.0]}}, {"const": {"a": [10 ** 20, 0]}}, True),
+            ({"minimum": 0.5}, {"minimum": 0}, False),
+            ({"const": True}, {"const": 1}, False),
+        ],
+        ids=["minimum", "enum", "nested-const", "fraction", "bool"],
+    )
+    def test_numbers_compare_by_value(self, configured, required, equal):
+        elements = [
+            mk_element("ST_ETH", "schema-type", body=schema_body({"type": "number", **required}),
+                       line=7)
+            if e.uid == "ST_ETH" else e
+            for e in fig_graph().elements.values()
+        ]
+        graph, _ = build_graph(elements, reverse_links=False)
+        config = json.loads(json.dumps(CONFIG))
+        config["properties"]["ethernet_latency"].update(configured)
+        assert (errors(check3(graph, config)) == []) == equal
+
     def test_missing_placement_warns(self):
         graph = fig_graph()
         elements = [
@@ -202,7 +246,7 @@ class TestSemanticEquivalence:
             if e.uid == "OI_ETH" else e
             for e in graph.elements.values()
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         out = check3(graph, CONFIG)
         warnings = [v for v in out if v.severity == "warning"]
         assert any(v.subject_uid == "OI_ETH" and "placement" in v.message for v in warnings)
@@ -234,7 +278,7 @@ class TestSemanticEquivalence:
         graph, _ = build_graph([
             mk_element(f"OI{i}", "OptimizerInput", placement=p, line=i + 1)
             for i, p in enumerate(placements)
-        ])
+        ], reverse_links=False)
         return [v.message for v in check3(graph, config) if v.subject_uid is None]
 
     def test_untargeted_properties_match_the_quadratic_scan(self):
@@ -292,7 +336,7 @@ class TestRunAll:
             if e.uid == "OI_MODEL" else e
             for e in graph.elements.values()
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         config = json.loads(json.dumps(CONFIG))
         config["properties"]["ethernet_latency"]["minimum"] = 0
         report = run_all(graph, config)

@@ -40,6 +40,26 @@ def chain_repo(tmp_path, depth):
     return write_repo(tmp_path, files)
 
 
+def shared_schema_repo(tmp_path, st_body):
+    """The fixture repository with a third input, OI_X, where OI_ETH, OI_MODEL
+    and OI_X all link to ST_ETH, whose fenced body is ``st_body``."""
+    files = repo_files()
+    files["requirements.md"] = files["requirements.md"].replace(
+        '<treqs-link type="realizes" target="OI_MODEL" />',
+        '<treqs-link type="realizes" target="OI_MODEL" />\n'
+        '<treqs-link type="realizes" target="OI_X" />',
+    )
+    files["optimizer.md"] = files["optimizer.md"].replace(
+        'target="ST_MODEL"', 'target="ST_ETH"').replace(json.dumps(ETH_SCHEMA), st_body, 1)
+    files["x.md"] = (
+        '<treqs-element id="OI_X" type="OptimizerInput" placement="/properties/x">\n'
+        '```json\n3\n```\n<treqs-link type="describedBy" target="ST_ETH" />\n</treqs-element>\n'
+    )
+    config = json.loads(json.dumps(CONFIG_SCHEMA))
+    config["properties"]["x"] = ETH_SCHEMA
+    return write_repo(tmp_path, files, config)
+
+
 class TestCheck:
     def test_clean_fixture_exit_0(self, fig_repo):
         repo, schema = fig_repo
@@ -260,6 +280,67 @@ class TestCheck:
         assert line.startswith("error: internal_schema: optimizer.md:")
         assert line.split(": ", 3)[3].startswith(message)
 
+    @pytest.mark.parametrize(
+        "st_body, finding, schemas_parsed",
+        [
+            ('{"type": "float"}', "invalid type 'float' (at <root>)", 1),
+            ('{"type": ', "invalid JSON in fenced block: Expecting value", 0),
+        ],
+        ids=["schema-error", "invalid-json"],
+    )
+    def test_shared_broken_schema_type_reported_once(
+        self, tmp_path, monkeypatch, st_body, finding, schemas_parsed
+    ):
+        repo, schema = shared_schema_repo(tmp_path, st_body)
+        read, parsed = [], []
+        real_read, real_parse = checks.first_json_fence, checks.parse_schema
+        monkeypatch.setattr(checks, "first_json_fence", lambda e: read.append(e.uid) or real_read(e))
+        monkeypatch.setattr(checks, "parse_schema", lambda d: parsed.append(d) or real_parse(d))
+        report = tmp_path / "report.yaml"
+        result = run("check", repo, "--config-schema", schema, "--report", report)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: internal_schema: optimizer.md:17: {finding}\n"
+        data = yaml.safe_load(report.read_text())
+        assert data["counts"]["internal_schema"] == {"errors": 1, "warnings": 0}
+        assert [(v["subject_uid"], v["message"]) for v in data["violations"]] == [
+            ("ST_ETH", finding)]
+        assert read == ["ST_ETH"]  # the inputs' values are not read without a schema
+        assert len(parsed) == schemas_parsed
+
+    def test_shared_schema_type_parsed_once(self, tmp_path, monkeypatch):
+        repo, schema = shared_schema_repo(tmp_path, json.dumps(ETH_SCHEMA))
+        parsed = []
+        real = checks.parse_schema
+        monkeypatch.setattr(checks, "parse_schema", lambda doc: parsed.append(doc) or real(doc))
+        result = run("generate", repo, "--config-schema", schema)
+        assert result.exit_code == 0, result.stderr
+        assert [r["uid"] for r in yaml.safe_load(result.stdout)["optimizer_inputs"]] == [
+            "OI_ETH", "OI_MODEL", "OI_X"]
+        assert parsed == [ETH_SCHEMA]
+
+    @pytest.mark.parametrize(
+        "placement, segment",
+        [("/type", "type"), ("/required/0", "required"),
+         ("/properties/ethernet_latency/minimum", "minimum")],
+    )
+    @pytest.mark.parametrize("form", [["check"], ["generate", "--format", "yaml"],
+                                      ["generate", "--format", "plantuml"]], ids=" ".join)
+    def test_placement_naming_no_subschema_exit_1(self, tmp_path, placement, segment, form):
+        files = repo_files()
+        files["optimizer.md"] = files["optimizer.md"].replace(
+            'placement="/properties/ethernet_latency"', f'placement="{placement}"')
+        repo, schema = write_repo(tmp_path, files)
+        report = tmp_path / "report.yaml"
+        result = run(*form, repo, "--config-schema", schema, "--report", report)
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        error = f"pointer {placement!r} unresolvable at segment {segment!r}"
+        if form == ["check"]:
+            assert f"error: semantic_equivalence: optimizer.md:3: {error}" in result.stderr
+        errors = [v["message"] for v in yaml.safe_load(report.read_text())["violations"]
+                  if v["severity"] == "error"]
+        assert errors == [error]
+
     def test_report_written(self, fig_repo, tmp_path):
         repo, schema = fig_repo
         report = tmp_path / "report.yaml"
@@ -275,6 +356,17 @@ class TestGenerate:
         assert result.exit_code == 0, result.stderr
         data = yaml.safe_load(result.stdout)
         assert len(data["optimizer_inputs"]) == 2
+
+    def test_numbers_keep_their_written_form(self, tmp_path):
+        # check 3 finds 0.0 and 0 equal; the document writes each as it was given
+        config = json.loads(json.dumps(CONFIG_SCHEMA))
+        config["properties"]["ethernet_latency"]["minimum"] = 0.0
+        repo, schema = write_repo(tmp_path, repo_files(), config)
+        result = run("generate", repo, "--config-schema", schema, "--format", "yaml")
+        assert result.exit_code == 0, result.stderr
+        assert "    ethernet_latency:\n      minimum: 0.0\n" in result.stdout
+        eth = yaml.safe_load(result.stdout)["optimizer_inputs"][0]
+        assert eth["uid"] == "OI_ETH" and repr(eth["schema"]["minimum"]) == "0"
 
     def test_plantuml_output(self, fig_repo):
         repo, schema = fig_repo

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from tracegen.errors import PointerUnresolvable, SchemaError, TracegenError
+from tracegen.errors import PointerUnresolvable, SchemaError
 from tracegen.schema import (
     canonicalize,
     collect_property_paths,
-    parse_pointer,
+    is_valid_pointer,
     parse_schema,
     resolve_pointer,
     schemas_equivalent,
@@ -76,8 +76,20 @@ class TestValidateInstance:
 
 
 class TestPointer:
+    SCHEMA = {
+        "type": "object",
+        "properties": {
+            "x": {"type": "number", "minimum": 0, "const": {"items": 3}, "enum": [{}]},
+            "list": {"type": "array", "items": {"type": "object", "properties": {"y": {}}}},
+        },
+        "required": ["x"],
+    }
+
     def test_simple_path(self):
-        assert resolve_pointer({"a": {"b": 1}}, "/a/b") == 1
+        x = self.SCHEMA["properties"]["x"]
+        assert resolve_pointer(self.SCHEMA, "/properties/x") is x
+        y = self.SCHEMA["properties"]["list"]["items"]["properties"]["y"]
+        assert resolve_pointer(self.SCHEMA, "/properties/list/items/properties/y") is y
 
     def test_empty_pointer_is_identity(self):
         doc = {"a": 1}
@@ -85,31 +97,38 @@ class TestPointer:
 
     def test_unresolvable_names_segment(self):
         with pytest.raises(PointerUnresolvable) as excinfo:
-            resolve_pointer({"a": {"b": 1}}, "/a/z")
-        assert str(excinfo.value) == "pointer '/a/z' unresolvable at segment 'z'"
+            resolve_pointer({"properties": {"a": {}}}, "/properties/z")
+        assert str(excinfo.value) == "pointer '/properties/z' unresolvable at segment 'z'"
 
     def test_escapes(self):
-        assert resolve_pointer({"a/b": {"~c": 2}}, "/a~1b/~0c") == 2
+        schema = {"properties": {"a/b": {"properties": {"~c": {"type": "null"}}}}}
+        assert resolve_pointer(schema, "/properties/a~1b/properties/~0c") == {"type": "null"}
 
-    def test_array_index(self):
-        assert resolve_pointer({"a": [10, 20]}, "/a/1") == 20
-        with pytest.raises(PointerUnresolvable):
-            resolve_pointer({"a": [10]}, "/a/01")
+    @pytest.mark.parametrize("pointer, segment", [
+        ("/type", "type"),
+        ("/required", "required"),
+        ("/required/0", "required"),
+        ("/properties", "properties"),
+        ("/properties/x/minimum", "minimum"),
+        ("/properties/x/const", "const"),
+        ("/properties/x/const/items", "const"),
+        ("/properties/x/enum/0", "enum"),
+        ("/properties/list/items/0", "0"),
+        ("/properties/x/items", "items"),
+    ])
+    def test_array_indices_and_keyword_values_are_unresolvable(self, pointer, segment):
+        with pytest.raises(PointerUnresolvable) as excinfo:
+            resolve_pointer(self.SCHEMA, pointer)
+        assert str(excinfo.value) == f"pointer {pointer!r} unresolvable at segment {segment!r}"
 
-    def test_syntax_error(self):
-        with pytest.raises(TracegenError, match="malformed JSON Pointer"):
-            resolve_pointer({}, "no-leading-slash")
-
-    @pytest.mark.parametrize("text", ["\n", "/a\n/b~", "/a~2", "x/a", " /a"])
-    def test_parse_pointer_rejects_what_is_not_a_pointer_as_a_whole(self, text):
-        with pytest.raises(TracegenError) as caught:
-            parse_pointer(text)
-        assert str(caught.value) == f"malformed JSON Pointer {text!r}"
+    @pytest.mark.parametrize("text", ["\n", "/a\n/b~", "/a~2", "x/a", " /a", "no-leading-slash"])
+    def test_is_valid_pointer_rejects_what_is_not_a_pointer_as_a_whole(self, text):
+        assert not is_valid_pointer(text)
 
     def test_a_token_may_end_in_a_line_break(self):
         # RFC 6901 lets a reference token hold any character but '/' and a bare '~'
-        assert parse_pointer("/properties/x\n") == ["properties", "x\n"]
-        assert parse_pointer("") == []
+        assert is_valid_pointer("/properties/x\n") and is_valid_pointer("")
+        assert resolve_pointer({"properties": {"x\n": {}}}, "/properties/x\n") == {}
 
 
 class TestCanonicalize:

@@ -91,7 +91,7 @@ def random_cyclic_graph(rng, n, seen):
     elements = [
         mk_element(uid, types[uid], links=links[uid], line=k + 1) for k, uid in enumerate(uids)
     ]
-    graph, diagnostics = build_graph(elements)
+    graph, diagnostics = build_graph(elements, reverse_links=False)
     assert diagnostics == []
     return graph
 
@@ -127,7 +127,7 @@ class TestDifferential:
         graph, _ = build_graph([
             mk_element("RS", "runtime-scenario", links=[("scopes", "A"), ("refines", "RS")]),
             mk_element("A", "abstraction-level", links=[("contains", "RS")], line=2),
-        ])
+        ], reverse_links=False)
         summary = assert_matches_reference(graph, SCENARIO_INPUTS)
         assert summary.count("RS") == 1
         # neighbours in (link_type, target) order: refines before scopes

@@ -24,6 +24,11 @@ OPEN_TAGS = [
     '<treqs-element id="R" type="requirement">',
     '<treqs-element id="OI" type="OptimizerInput" placement="/properties/ethernet_latency">',
     '<treqs-element id="OI" type="OptimizerInput" placement="bad">',
+    # placements that name no subschema: a keyword's value or an array entry
+    '<treqs-element id="OI" type="OptimizerInput" placement="/type">',
+    '<treqs-element id="OI" type="OptimizerInput" placement="/required/0">',
+    '<treqs-element id="OI" type="OptimizerInput" placement="/properties/ethernet_latency/minimum">',
+    '<treqs-element id="OI" type="OptimizerInput" placement="/properties">',
     '<treqs-element id="ST" type="schema-type">',
     '<treqs-element id="X" type="unknown">',
     '<treqs-element type="requirement">',
@@ -160,6 +165,12 @@ LINKED = (
     files=[LINKED.replace("{}", '{"type": ["number"]}')], config="{}", ttim=None, glob=None)
 @hypothesis.example(
     files=[LINKED.replace("{}", '{"type": "integer"}')], config="{}", ttim=None, glob=None)
+@hypothesis.example(
+    files=[LINKED.replace("/properties/ethernet_latency", "/type")],
+    config=json.dumps(CONFIG_SCHEMA), ttim=None, glob=None)
+@hypothesis.example(
+    files=[LINKED.replace("/properties/ethernet_latency", "/properties/c/const")],
+    config='{"properties": {"c": {"const": {"items": 3}}}}', ttim=None, glob=None)
 @hypothesis.example(files=[""], config="{}", ttim="node_types: 5", glob=None)
 @hypothesis.example(
     files=[""], config="{}", ttim="node_types: null\nlink_types: []\nspecial: {}", glob=None)

@@ -44,7 +44,7 @@ def fig_graph(extra_elements=()):
         mk_element("ST_MODEL", "schema-type", body=schema_body({"type": "number"}), line=8),
     ]
     elements.extend(extra_elements)
-    graph, diagnostics = build_graph(elements)
+    graph, diagnostics = build_graph(elements, reverse_links=False)
     assert diagnostics == []
     return graph
 
@@ -52,16 +52,17 @@ def fig_graph(extra_elements=()):
 class TestFindScenarios:
     def test_fixture_scenarios(self):
         graph, _ = build_graph(
-            [mk_element("RS2", "runtime-scenario"), mk_element("RS1", "runtime-scenario", line=2)]
+            [mk_element("RS2", "runtime-scenario"), mk_element("RS1", "runtime-scenario", line=2)],
+            reverse_links=False,
         )
         assert find_runtime_scenarios(graph, TTIM) == ["RS1", "RS2"]
 
     def test_no_scenarios(self):
-        graph, _ = build_graph([mk_element("R1", "requirement")])
+        graph, _ = build_graph([mk_element("R1", "requirement")], reverse_links=False)
         assert find_runtime_scenarios(graph, TTIM) == []
 
     def test_exact_type_name_match(self):
-        graph, _ = build_graph([mk_element("X", "runtime_scenario")])
+        graph, _ = build_graph([mk_element("X", "runtime_scenario")], reverse_links=False)
         assert find_runtime_scenarios(graph, TTIM) == []
 
 
@@ -80,7 +81,7 @@ class TestTraverse:
             assert "describedBy" not in path.link_types
 
     def test_scenario_without_edges(self):
-        graph, _ = build_graph([mk_element("RS1", "runtime-scenario")])
+        graph, _ = build_graph([mk_element("RS1", "runtime-scenario")], reverse_links=False)
         assert traverse_from_scenario(graph, TTIM, "RS1").paths == []
 
     def test_not_a_scenario(self):
@@ -108,7 +109,7 @@ class TestTraverse:
             if e.uid == "REQ_ETH" else e
             for e in elements
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         assert len(traverse_from_scenario(graph, TTIM, "RS1").paths) == 2
         warnings = summarize_traversal(graph, TTIM).warnings("RS1")
         assert any("cycle edge" in d.message for d in warnings)
@@ -149,7 +150,7 @@ def random_dag(rng, n, repeat=0.0):
         mk_element(uid, types[uid], links=links[uid], line=k + 1)
         for k, uid in enumerate(order)
     ]
-    graph, diagnostics = build_graph(elements)
+    graph, diagnostics = build_graph(elements, reverse_links=False)
     assert len(diagnostics) == repeats
     assert all(d.message.startswith("duplicate link") for d in diagnostics)
     return graph, types, order[0]
@@ -194,7 +195,7 @@ class TestCollect:
         )
         graph = fig_graph()
         elements = [extra_link_oi if e.uid == "OI_ETH" else e for e in graph.elements.values()]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         resolution = resolve_optimizer_inputs(graph, TTIM)["OI_ETH"]
         assert not resolution.complete
         assert resolution.schema is None
@@ -218,7 +219,7 @@ class TestCollect:
                        body=schema_body(1), line=5),
             mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=6),
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         results = [traverse_from_scenario(graph, TTIM, uid) for uid in ("RS1", "RS2")]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
@@ -246,7 +247,7 @@ class TestCollect:
                        body=schema_body(0), line=7),
             mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=8),
         ]
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         scenarios = find_runtime_scenarios(graph, TTIM)
         results = [traverse_from_scenario(graph, TTIM, uid) for uid in scenarios]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
@@ -278,7 +279,7 @@ class TestDeepChain:
             links = [nxt, ("refines", "R0000")] if i else [nxt]
             elements.append(mk_element(f"R{i:04d}", "requirement", links=links, line=3 + i))
         elements.append(mk_element("OI1", "OptimizerInput", line=depth + 3))
-        graph, _ = build_graph(elements)
+        graph, _ = build_graph(elements, reverse_links=False)
         result = traverse_from_scenario(graph, TTIM, "RS1")
         (path,) = result.paths
         assert len(path.nodes) == depth + 3
