@@ -16,7 +16,6 @@ from tracegen.schema import (
     collect_property_paths,
     parse_schema,
     resolve_pointer,
-    schemas_equivalent,
     validate_instance,
 )
 from tracegen.ttim import TtimDefinition
@@ -222,9 +221,15 @@ def check_semantic_equivalence(
     graph: TraceGraph, config_schema: SchemaDoc, resolutions: dict[str, Resolution]
 ) -> list[Diagnostic]:
     """Check 3: each optimizer input's schema matches the configuration-schema
-    subschema at its placement pointer."""
+    subschema at its placement pointer.
+
+    Each placement's canonical text is built once, and so is each schema's:
+    the inputs that link to one schema-type share its schema object.
+    """
     out: list[Diagnostic] = []
     placements: set[str] = set()
+    config_texts: dict[str, str] = {}  # placement -> canonical text
+    schema_texts: dict[int, str] = {}  # id of a shared schema -> canonical text
     for oi_uid, resolution in resolutions.items():
         element = graph.elements[oi_uid]
         if element.placement is None:
@@ -249,7 +254,13 @@ def check_semantic_equivalence(
         oi_schema = resolution.schema
         if oi_schema is None:
             continue  # checks 1/2 own that failure
-        if not schemas_equivalent(config_sub, oi_schema):
+        if element.placement not in config_texts:
+            config_texts[element.placement] = canonical_text(config_sub)
+        if id(oi_schema) not in schema_texts:
+            schema_texts[id(oi_schema)] = canonical_text(oi_schema)
+        config_text = config_texts[element.placement]
+        oi_text = schema_texts[id(oi_schema)]
+        if config_text != oi_text:
             out.append(
                 _violation(
                     CHECK_SEMANTIC_EQUIVALENCE,
@@ -257,8 +268,8 @@ def check_semantic_equivalence(
                     graph,
                     oi_uid,
                     "schema mismatch at placement "
-                    f"{element.placement}: configuration has {canonical_text(config_sub)} "
-                    f"but requirement has {canonical_text(oi_schema)}",
+                    f"{element.placement}: configuration has {config_text} "
+                    f"but requirement has {oi_text}",
                 )
             )
     # placements under pointer + "/" sort together: test the first at or after it

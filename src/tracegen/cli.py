@@ -7,6 +7,7 @@ standard error.
 
 from __future__ import annotations
 
+import gc
 import json  # noqa: F401 (perfbench/tracer.py wraps cli.json.loads by name)
 import sys
 from pathlib import Path
@@ -131,9 +132,16 @@ _max_paths_option = click.option(
 
 
 @click.group()
-def cli() -> None:
+@click.pass_context
+def cli(ctx: click.Context) -> None:
     """Extract traceable runtime-configuration specifications from textual
     requirements."""
+    # A run builds no reference cycles, so reference counting frees all of its
+    # data and the cyclic collector's passes find nothing. Turn it off for the
+    # command and back on when the command ends, however it ends.
+    if gc.isenabled():
+        gc.disable()
+        ctx.call_on_close(gc.enable)
 
 
 @cli.command("check")

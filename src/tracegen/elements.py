@@ -26,8 +26,13 @@ from tracegen.schema import is_valid_pointer
 
 DEFAULT_GLOBS = ("**/*.md", "**/*.txt")
 
+# The first branch reads the documented link form, <treqs-link type="..."
+# target="..." />, straight into its two values. Every other link tag takes
+# the last branch and is read attribute by attribute; on a tag that the first
+# branch matches, the last would find the same two attributes.
 _TAG_RE = re.compile(
-    r"<treqs-element\b([^<>]*)>|</treqs-element>|<treqs-link\b([^<>]*?)/>"
+    r'<treqs-link\s+type="([^"<>]+)"\s+target="([^"<>]+)"\s*/>'
+    r"|<treqs-element\b([^<>]*)>|</treqs-element>|<treqs-link\b([^<>]*?)/>"
 )
 _ATTR_RE = re.compile(r'\s*([A-Za-z_][\w.-]*)="([^"]*)"')
 _FENCE_RE = re.compile(
@@ -81,15 +86,25 @@ def scan_repository(
     diagnostics: list[Diagnostic] = []
     paths: set[Path] = set()
     for pattern in include_globs:
-        if ".." in Path(pattern).parts:
-            raise TracegenError(
-                f"unsupported glob pattern {pattern!r}: '..' leaves the repository root"
-            )
+        as_path = Path(pattern)
+        # Python 3.13's Path.glob reads '**' inside a component as '*' and
+        # names '.' for the empty pattern: both are refused here, in the words
+        # of 3.10-3.12's Path.glob
+        if ".." in as_path.parts:
+            problem = "'..' leaves the repository root"
+        elif not pattern:
+            problem = f"Unacceptable pattern: {pattern!r}"
+        elif not as_path.anchor and any("**" in p and p != "**" for p in as_path.parts):
+            problem = "Invalid pattern: '**' can only be an entire path component"
+        else:
+            problem = None
+        if problem:
+            raise TracegenError(f"unsupported glob pattern {pattern!r}: {problem}")
         try:
             paths.update(p for p in root.glob(pattern) if p.is_file())
         except (NotImplementedError, ValueError, IndexError) as exc:
-            # Path.glob rejects an absolute or empty pattern and '**' inside
-            # a component; some Python versions fail on '.' with an IndexError
+            # Path.glob rejects an absolute pattern; Python 3.10-3.12 fail on
+            # '.' with an IndexError
             raise TracegenError(f"unsupported glob pattern {pattern!r}: {exc}") from exc
     files: list[SourceFile] = []
     for path in sorted(paths, key=lambda p: p.relative_to(root).as_posix()):
@@ -158,20 +173,23 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
         if stack:
             stack[-1].body_parts.append(content[body_from:start])
         counted, body_from = start, match.end()
-        open_attrs, link_attrs = match.group(1, 2)
+        link_type, target, open_attrs, link_attrs = match.groups()
         severity, problem = "error", None
         if open_attrs is not None:
             attrs, problem = _validate_open(open_attrs)
             stack.append(_Frame(attrs=attrs, line=line))
-        elif link_attrs is not None:
-            attrs, problem = _parse_attrs(link_attrs)
+        elif link_type is not None or link_attrs is not None:
+            if link_type is None:  # not the documented form
+                attrs, problem = _parse_attrs(link_attrs)
+                if problem is None:
+                    link_type, target = attrs.get("type"), attrs.get("target")
+                    if not link_type or not target:
+                        problem = "link tag requires type and target attributes"
             if problem is None:
-                if not attrs.get("type") or not attrs.get("target"):
-                    problem = "link tag requires type and target attributes"
-                elif not stack:
+                if not stack:
                     severity, problem = "warning", "link outside any element block ignored"
                 else:  # a malformed block drops its links when it closes
-                    stack[-1].links.append(RawLink(attrs["type"], attrs["target"], line))
+                    stack[-1].links.append(RawLink(link_type, target, line))
         elif not stack:
             problem = "closing tag without matching opening tag"
         elif (frame := stack.pop()).attrs is not None:

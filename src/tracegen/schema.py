@@ -123,15 +123,34 @@ def _matches_type(value: Any, declared: str) -> bool:
 
 
 def json_equal(a: Any, b: Any) -> bool:
-    """JSON-value equality that keeps booleans distinct from numbers."""
+    """JSON-value equality that keeps booleans distinct from numbers.
+
+    Pairs of containers wait on an explicit stack, so that depth costs no
+    Python frames.
+    """
+    if not isinstance(a, (dict, list)):
+        return _scalar_equal(a, b)
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if isinstance(a, dict):
+            if not isinstance(b, dict) or a.keys() != b.keys():
+                return False
+            pending.extend((a[k], b[k]) for k in a)
+        elif isinstance(a, list):
+            if not isinstance(b, list) or len(a) != len(b):
+                return False
+            pending.extend(zip(a, b))
+        elif not _scalar_equal(a, b):
+            return False
+    return True
+
+
+def _scalar_equal(a: Any, b: Any) -> bool:
     if isinstance(a, bool) != isinstance(b, bool):
         return False
     if _is_number(a) and _is_number(b):
         return a == b
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(json_equal(a[k], b[k]) for k in a)
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(json_equal(x, y) for x, y in zip(a, b))
     return type(a) is type(b) and a == b
 
 
@@ -249,12 +268,8 @@ def _by_value(value: Any) -> Any:
 
 
 def canonical_text(schema: SchemaDoc) -> str:
+    """Two schemas are equivalent when their canonical texts are equal."""
     return json.dumps(canonicalize(schema), sort_keys=True)
-
-
-def schemas_equivalent(a: SchemaDoc, b: SchemaDoc) -> bool:
-    """Structural equality of the canonical forms of two schemas."""
-    return canonical_text(a) == canonical_text(b)
 
 
 def collect_property_paths(schema: SchemaDoc) -> list[str]:

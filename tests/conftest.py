@@ -144,6 +144,14 @@ def mk_element(uid, element_type, links=(), body="", placement=None, label=None,
     )
 
 
+def nested(depth, leaf=1):
+    """A JSON value ``depth`` containers deep, objects and arrays in turn."""
+    value = leaf
+    for level in range(depth):
+        value = {"a": value} if level % 2 else [value]
+    return value
+
+
 def always_fall_back(data, allow_unicode):
     """Stands in for emit._write_block so that PyYAML writes every document."""
     raise emit._Fallback

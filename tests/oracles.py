@@ -1,9 +1,14 @@
 """Independent brute-force oracles; intentionally naive and kept separate
 from the implementations they double-check."""
 
+import re
+from dataclasses import dataclass, field
+
 import yaml
 
+from tracegen.elements import RawElement, RawLink, SourceFile
 from tracegen.errors import Diagnostic, TracegenError
+from tracegen.schema import is_valid_pointer
 from tracegen.graph import TraceGraph
 from tracegen.traversal import DEFAULT_MAX_PATHS, ScenarioResult, TracePath
 from tracegen.ttim import TtimDefinition
@@ -247,3 +252,107 @@ def expected_records(paths, graph, resolutions):
             resolution.value,
         ))
     return records
+
+
+# The element parser as it was before the tag scan read the documented link
+# form in its own branch: every link tag goes through _parse_attrs. Kept
+# verbatim as the reference for tracegen.elements.parse_file.
+_TAG_RE = re.compile(
+    r"<treqs-element\b([^<>]*)>|</treqs-element>|<treqs-link\b([^<>]*?)/>"
+)
+_ATTR_RE = re.compile(r'\s*([A-Za-z_][\w.-]*)="([^"]*)"')
+
+
+@dataclass
+class _Frame:
+    attrs: dict[str, str] | None  # None when the opening tag was malformed
+    line: int
+    body_parts: list[str] = field(default_factory=list)
+    links: list[RawLink] = field(default_factory=list)
+
+
+def _parse_attrs(raw: str) -> tuple[dict[str, str] | None, str | None]:
+    """Parse an attribute region into ``(attrs, None)`` or ``(None, problem)``."""
+    attrs: dict[str, str] = {}
+    pos = 0
+    while match := _ATTR_RE.match(raw, pos):
+        name, value = match.groups()
+        if name in attrs:
+            return None, f"duplicate attribute {name!r}"
+        attrs[name] = value
+        pos = match.end()
+    if rest := raw[pos:].strip():
+        return None, f"malformed attribute syntax near {rest[:30]!r}"
+    return attrs, None
+
+
+def _validate_open(raw: str) -> tuple[dict[str, str] | None, str | None]:
+    """An opening tag's attributes as ``(attrs, None)`` or ``(None, problem)``."""
+    attrs, problem = _parse_attrs(raw)
+    if problem:
+        return None, problem
+    problems = []
+    if "id" not in attrs:
+        problems.append("missing id attribute")
+    elif not attrs["id"] or any(c.isspace() for c in attrs["id"]):
+        problems.append("id must be non-empty and contain no whitespace")
+    if "type" not in attrs or not attrs["type"]:
+        problems.append("missing type attribute")
+    if "placement" in attrs and not is_valid_pointer(attrs["placement"]):
+        problems.append(f"placement is not a valid JSON Pointer: {attrs['placement']!r}")
+    return (None, "; ".join(problems)) if problems else (attrs, None)
+
+
+def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
+    """Extract all element blocks from one file.
+
+    Total for any input: malformed blocks become error diagnostics and are
+    skipped, everything outside element blocks is ignored. A tag's line is
+    the line its ``<`` is on.
+    """
+    content, path = file.content, file.path
+    elements: list[RawElement] = []
+    diagnostics: list[Diagnostic] = []
+    stack: list[_Frame] = []
+    line, counted, body_from = 1, 0, 0  # the line of offset `counted`
+    for match in _TAG_RE.finditer(content):
+        start = match.start()
+        line += content.count("\n", counted, start)
+        if stack:
+            stack[-1].body_parts.append(content[body_from:start])
+        counted, body_from = start, match.end()
+        open_attrs, link_attrs = match.group(1, 2)
+        severity, problem = "error", None
+        if open_attrs is not None:
+            attrs, problem = _validate_open(open_attrs)
+            stack.append(_Frame(attrs=attrs, line=line))
+        elif link_attrs is not None:
+            attrs, problem = _parse_attrs(link_attrs)
+            if problem is None:
+                if not attrs.get("type") or not attrs.get("target"):
+                    problem = "link tag requires type and target attributes"
+                elif not stack:
+                    severity, problem = "warning", "link outside any element block ignored"
+                else:  # a malformed block drops its links when it closes
+                    stack[-1].links.append(RawLink(attrs["type"], attrs["target"], line))
+        elif not stack:
+            problem = "closing tag without matching opening tag"
+        elif (frame := stack.pop()).attrs is not None:
+            elements.append(
+                RawElement(
+                    uid=frame.attrs["id"],
+                    element_type=frame.attrs["type"],
+                    label=frame.attrs.get("label"),
+                    placement=frame.attrs.get("placement"),
+                    body="".join(frame.body_parts),
+                    links=tuple(frame.links),
+                    file=path,
+                    line=frame.line,
+                )
+            )
+        if problem:
+            diagnostics.append(Diagnostic(severity, problem, path, line))
+    for frame in stack:
+        diagnostics.append(Diagnostic("error", "unclosed element block", path, frame.line))
+    elements.sort(key=lambda e: e.line)
+    return elements, diagnostics

@@ -10,7 +10,7 @@ from tracegen.cli import cli
 from tracegen import checks, emit
 
 from conftest import (
-    CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, always_fall_back, repo_files, write_repo,
+    CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, always_fall_back, nested, repo_files, write_repo,
 )
 
 
@@ -340,6 +340,35 @@ class TestCheck:
         errors = [v["message"] for v in yaml.safe_load(report.read_text())["violations"]
                   if v["severity"] == "error"]
         assert errors == [error]
+
+    def test_canonical_text_once_per_schema_and_placement(self, tmp_path, monkeypatch):
+        repo, schema = shared_schema_repo(tmp_path, json.dumps(ETH_SCHEMA))
+        texts = []
+        real = checks.canonical_text
+        monkeypatch.setattr(checks, "canonical_text", lambda s: texts.append(s) or real(s))
+        result = run("check", repo, "--config-schema", schema)
+        assert result.exit_code == 0, result.stderr
+        # three placements and the one schema that OI_ETH, OI_MODEL and OI_X share
+        assert sorted(map(json.dumps, texts)) == [json.dumps(ETH_SCHEMA)] * 4
+
+    @pytest.mark.parametrize("depth", [350, 500])
+    @pytest.mark.parametrize("keyword", ["const", "enum"])
+    def test_deep_const_and_enum_member(self, tmp_path, keyword, depth):
+        st_schema = {keyword: nested(depth) if keyword == "const" else [0, nested(depth)]}
+        config = json.loads(json.dumps(CONFIG_SCHEMA))
+        config["properties"]["ethernet_latency"] = st_schema
+        failed = "differs from const" if keyword == "const" else "not among enum members"
+        for value, stderr in (
+            (nested(depth), ""),
+            (nested(depth, leaf=2), "error: internal_schema: optimizer.md:3: instance violates "
+                                    f"schema at <root>: {keyword}: value {failed}\n"),
+        ):
+            files = repo_files(oi_eth_value=json.dumps(value))
+            files["optimizer.md"] = files["optimizer.md"].replace(
+                json.dumps(ETH_SCHEMA), json.dumps(st_schema), 1)
+            repo, schema = write_repo(tmp_path / str(len(stderr)), files, config)
+            result = run("check", repo, "--config-schema", schema)
+            assert (result.exit_code, result.stderr) == (1 if stderr else 0, stderr)
 
     def test_report_written(self, fig_repo, tmp_path):
         repo, schema = fig_repo

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+import oracles
 from tracegen.elements import (
+    _TAG_RE,
     SourceFile,
     first_json_fence,
     parse_file,
@@ -301,6 +305,27 @@ class TestScanRepository:
         assert [f.path for f in files] == ["ok.md"]
         assert diagnostics[0].severity == "warning"
 
+    # Python 3.13's Path.glob accepts the first two and names '.' for the
+    # third; every supported version refuses them with 3.10-3.12's message
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ("a/**.md", "Invalid pattern: '**' can only be an entire path component"),
+            ("**x/*.md", "Invalid pattern: '**' can only be an entire path component"),
+            ("", "Unacceptable pattern: ''"),
+        ],
+    )
+    def test_pattern_refused_before_globbing(self, tmp_path, pattern, message):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "x.md").write_text("x")
+        with pytest.raises(TracegenError) as caught:
+            scan_repository(tmp_path, ("**/*.md", pattern))
+        assert str(caught.value) == f"unsupported glob pattern {pattern!r}: {message}"
+
+    def test_absolute_pattern_with_double_star_is_refused_as_absolute(self, tmp_path):
+        with pytest.raises(TracegenError, match="Non-relative patterns are unsupported"):
+            scan_repository(tmp_path, ("/a/**.md",))
+
 
 _LINE_TAGS = (
     '<treqs-element id="A" type="t">',
@@ -331,3 +356,69 @@ def test_line_is_one_plus_newlines_before_the_tag(content):
         ("link tag requires type and target attributes", bad_link),
         ("unclosed element block", b),
     ]
+
+
+# Values and attribute texts for the tag-soup test: a link in the documented
+# form takes the tag scan's own branch, every other form is read attribute by
+# attribute; both must give what the reference parser gives.
+_VALUES = ("R1", "a/b", "/", "a<b", "a>b", "a\nb", "", " ", "x y", "é", "a'b", "/>")
+_SPACES = (" ", "  ", "\n", "\t", " \r\n ")
+
+
+def _link_tag(rng):
+    sp = lambda: rng.choice(_SPACES)  # noqa: E731
+    value = lambda: rng.choice(_VALUES)  # noqa: E731
+    kind = rng.randrange(12)
+    if kind < 4:  # the documented form, with any whitespace
+        return (f'<treqs-link{sp()}type="{value()}"{sp()}target="{value()}"'
+                f'{rng.choice(("", sp()))}/>')
+    return rng.choice((
+        f'<treqs-link{sp()}target="{value()}"{sp()}type="{value()}" />',
+        f'<treqs-link type="{value()}" target="{value()}" note="{value()}" />',
+        f'<treqs-link id="L" type="{value()}" target="{value()}"/>',
+        f'<treqs-link type="{value()}"target="{value()}" />',
+        f'<treqs-link type="{value()}" type="{value()}" target="{value()}" />',
+        f'<treqs-link type="{value()}" />',
+        f'<treqs-link target="{value()}" type=x />',
+        f'<treqs-link type="{value()}" target="{value()}">',
+        f'<treqs-linkx type="{value()}" target="{value()}" />',
+        f'<treqs-linktype="{value()}" target="{value()}" />',
+        f"<treqs-link type='{value()}' target='{value()}' />",
+        f'<treqs-link\ntype="{value()}"\ntarget="{value()}"\n/>',
+    ))
+
+
+def _tag_soup(rng):
+    parts = []
+    for _ in range(rng.randint(0, 40)):
+        kind = rng.randrange(10)
+        if kind < 4:
+            parts.append(_link_tag(rng))
+        elif kind < 6:
+            parts.append(rng.choice((
+                f'<treqs-element id="E{rng.randrange(9)}" type="t">',
+                f'<treqs-element id="E{rng.randrange(9)}" type="t" placement="/p">',
+                '<treqs-element id="E" type=t>',  # malformed: its links are dropped
+                '<treqs-element type="t">',
+            )))
+        elif kind < 8:
+            parts.append("</treqs-element>")
+        else:
+            parts.append(rng.choice(("prose", "\n", "a < b > c", '"q"', "/", "/>", "<", ">")))
+        parts.append(rng.choice(("", "\n", " ", "\r\n")))
+    return "".join(parts)
+
+
+def test_tag_soup_matches_the_reference_parser():
+    rng = random.Random(20240611)
+    branches = {"documented": 0, "other": 0}
+    for _ in range(600):
+        file = src(_tag_soup(rng))
+        elements, diagnostics = parse_file(file)
+        assert (elements, diagnostics) == oracles.parse_file(file), file.content
+        for match in _TAG_RE.finditer(file.content):
+            if match.group(1) is not None:
+                branches["documented"] += 1
+            elif match.group(4) is not None:
+                branches["other"] += 1
+    assert min(branches.values()) > 500, branches
