@@ -215,13 +215,10 @@ def cmd_generate(
     except TracegenError as exc:
         _fail(exc, EXIT_CHECK_FAILED)
 
-    try:
-        if output_format == "yaml":
-            text = emit_yaml(config_schema, paths, graph, resolutions)
-        else:
-            text = emit_plantuml(*summary.reached(summary.scenarios), graph, resolutions)
-    except RecursionError:  # only PyYAML's representer, the block writer's fallback, recurses
-        _fail("a schema or value is nested too deeply to write as YAML")
+    if output_format == "yaml":
+        text = emit_yaml(config_schema, paths, graph, resolutions)
+    else:
+        text = emit_plantuml(*summary.reached(summary.scenarios), graph, resolutions)
     if output_path:
         _write(output_path, text)
     else:

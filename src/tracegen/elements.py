@@ -87,12 +87,11 @@ def scan_repository(
     paths: set[Path] = set()
     for pattern in include_globs:
         as_path = Path(pattern)
-        # Python 3.13's Path.glob reads '**' inside a component as '*' and
-        # names '.' for the empty pattern: both are refused here, in the words
-        # of 3.10-3.12's Path.glob
+        # Path.glob treats these differently on each Python version (3.13 reads '**' in a
+        # component as '*', 3.10-3.12 fail on '.'): each is refused in 3.10-3.12's words
         if ".." in as_path.parts:
             problem = "'..' leaves the repository root"
-        elif not pattern:
+        elif not as_path.parts:
             problem = f"Unacceptable pattern: {pattern!r}"
         elif not as_path.anchor and any("**" in p and p != "**" for p in as_path.parts):
             problem = "Invalid pattern: '**' can only be an entire path component"
@@ -100,11 +99,11 @@ def scan_repository(
             problem = None
         if problem:
             raise TracegenError(f"unsupported glob pattern {pattern!r}: {problem}")
+        # a trailing '**' selects every file below on 3.13 and none on 3.10-3.12
+        selected = pattern + "/*" if pattern.endswith("**") else pattern
         try:
-            paths.update(p for p in root.glob(pattern) if p.is_file())
-        except (NotImplementedError, ValueError, IndexError) as exc:
-            # Path.glob rejects an absolute pattern; Python 3.10-3.12 fail on
-            # '.' with an IndexError
+            paths.update(p for p in root.glob(selected) if p.is_file())
+        except (NotImplementedError, ValueError) as exc:  # absolute, or a NUL on 3.13
             raise TracegenError(f"unsupported glob pattern {pattern!r}: {exc}") from exc
     files: list[SourceFile] = []
     for path in sorted(paths, key=lambda p: p.relative_to(root).as_posix()):

@@ -4,6 +4,7 @@ overview diagram."""
 from __future__ import annotations
 
 import functools
+import io
 import re
 from typing import TYPE_CHECKING
 
@@ -36,48 +37,35 @@ def _record_mapping(path: TracePath, graph: TraceGraph, resolution: Resolution) 
     }
 
 
-def _without_aliases(base: type) -> type:
-    """A dumper that writes a shared object out in full each time, not as an alias."""
-    return type("NoAlias" + base.__name__, (base,), {"ignore_aliases": lambda self, data: True})
-
-
-_PY_DUMPER = _without_aliases(yaml.SafeDumper)
-
-
-class _Fallback(Exception):
-    """A value the block writer does not promise to write as PyYAML does."""
-
-
 # Strings PyYAML writes unescaped: printable, no line break or BOM; ASCII unless
 # allow_unicode. The patterns compile on first use, not when the CLI starts.
 _QUOTABLE = {False: "[\x20-\x7e]*",
              True: "[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010fffe]*"}
 # Of those, the ones Emitter.analyze_scalar refuses as plain in block context.
 _NOT_PLAIN = r"---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%@`]|.*(?:: | #|[: ]\Z)"
-_IMPLICIT = _PY_DUMPER.yaml_implicit_resolvers
+_IMPLICIT = yaml.SafeDumper.yaml_implicit_resolvers
 
 
 @functools.lru_cache(maxsize=4096)
-def _str_text(value: str, allow_unicode: bool) -> str:
-    """A string before folding: plain, or single-quoted where YAML 1.1 would misread it."""
+def _str_text(value: str, allow_unicode: bool) -> str | None:
+    """A string before folding: plain, or single-quoted where YAML 1.1 would misread
+    it; None where PyYAML would escape it or fold it at a line break."""
     if not re.fullmatch(_QUOTABLE[allow_unicode], value):
-        raise _Fallback
+        return None
     if re.match(_NOT_PLAIN, value) or any(r.match(value) for _, r in _IMPLICIT.get(value[:1], ())):
         return "'" + value.replace("'", "''") + "'"
     return value
 
 
-def _scalar_text(value, allow_unicode: bool) -> str:
-    """A leaf or an empty collection as PyYAML writes it before folding."""
-    kind = type(value)
-    if kind is str:
-        return _str_text(value, allow_unicode)
-    if value is None or kind in (bool, int, dict, list):  # the collections are empty here
-        return "null" if value is None else str(value).lower()
-    if kind is not float:
-        raise _Fallback
-    text = re.sub(r"^(-?\d+)e", r"\1.0e", repr(value).lower())  # "1e-05" is written "1.0e-05"
-    return {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}.get(text, text)
+def _emitted(value: str, allow_unicode: bool, column: int, indent: int, simple_key: bool) -> str:
+    """`value` as PyYAML's own scalar writer writes it from `column`, after a space."""
+    emitter = yaml.SafeDumper(io.StringIO(), allow_unicode=allow_unicode)
+    emitter.column, emitter.indent, emitter.whitespace = column, indent, False
+    emitter.simple_key_context = simple_key
+    implicit = emitter.resolve(yaml.ScalarNode, value, (True, False)) == emitter.DEFAULT_SCALAR_TAG
+    emitter.event = yaml.ScalarEvent(None, emitter.DEFAULT_SCALAR_TAG, (implicit, True), value)
+    emitter.process_scalar()
+    return emitter.stream.getvalue()
 
 
 def _fold(text: str, column: int, indent: int) -> str:
@@ -94,51 +82,64 @@ def _fold(text: str, column: int, indent: int) -> str:
     return quote + "".join(pieces) + quote
 
 
+def _leaf(value, allow_unicode: bool, column: int, indent: int) -> str:
+    """A leaf or an empty collection as PyYAML writes it from `column`, after a space."""
+    kind = type(value)
+    if kind is str:
+        text = _str_text(value, allow_unicode)
+        if text is None:
+            return _emitted(value, allow_unicode, column, indent, False)
+        if column + 1 + len(text) > 80 and " " in text:
+            text = _fold(text, column + 1, indent)
+    elif value is None or kind in (bool, int, dict, list):  # the collections are empty here
+        text = "null" if value is None else str(value).lower()
+    else:
+        text = re.sub(r"^(-?\d+)e", r"\1.0e", repr(value).lower())  # "1e-05" is written "1.0e-05"
+        text = {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}.get(text, text)
+    return " " + text
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_head(key: str, allow_unicode: bool) -> str | None:
+    """`key:` as PyYAML writes a simple key; None for a key it writes as `? key`: one
+    that is empty, holds a line break or, with "!!str", reaches 128 characters."""
+    if not 0 < len(key) < 123 or re.search("[\n\x85\u2028\u2029]", key):
+        return None
+    text = _str_text(key, allow_unicode)
+    return (text if text is not None else _emitted(key, allow_unicode, 0, 2, True)[1:]) + ":"
+
+
 def _entries(node):
     """(key, value) pairs of a mapping in key order, (None, item) of a sequence."""
-    if type(node) is list:
-        return ((None, item) for item in node)
-    # PyYAML writes an empty key, or one of 128 characters with "!!str", as "? key"
-    if not all(type(key) is str and 0 < len(key) < 123 for key in node):
-        raise _Fallback
-    return iter(sorted(node.items()))
-
-
-def _write_block(data, allow_unicode: bool) -> str:
-    """dump_yaml's bytes for a non-empty dict or list, with no recursion and no PyYAML."""
-    if type(data) not in (dict, list) or not data:
-        raise _Fallback
-    out: list[str] = []
-    stack = [(_entries(data), 0)]
-    compact = False  # the next entry goes on the line of a "- "
-    while stack:
-        entries, indent = stack[-1]
-        for key, value in entries:
-            head = "-" if key is None else _str_text(key, allow_unicode) + ":"
-            out.append((" " if compact else "\n" + " " * indent) + head)
-            kind, compact = type(value), False
-            if (kind is dict or kind is list) and value:
-                # a sequence under a key is not indented
-                stack.append((_entries(value), indent if key and kind is list else indent + 2))
-                compact = key is None
-                break
-            text, start = _scalar_text(value, allow_unicode), indent + len(head) + 1
-            if start + len(text) > 80 and " " in text:
-                text = _fold(text, start, indent + 2)
-            out.append(" " + text)
-        else:
-            stack.pop()
-    return "".join(out)[1:] + "\n"
+    return ((None, item) for item in node) if type(node) is list else iter(sorted(node.items()))
 
 
 def dump_yaml(data, allow_unicode: bool) -> str:
     """Block-style YAML with sorted keys and no aliases, as PyYAML's Python emitter
-    writes it; PyYAML writes the documents that the block writer does not cover."""
-    try:
-        return _write_block(data, allow_unicode)
-    except _Fallback:
-        return yaml.dump(data, Dumper=_PY_DUMPER, sort_keys=True, default_flow_style=False,
-                         allow_unicode=allow_unicode)
+    writes a non-empty dict or list of JSON values, at any depth (no recursion)."""
+    out: list[str] = []
+    stack = [(_entries(data), 0)]
+    compact = False  # the next entry goes on the line of a "- " or of a "? key"'s ":"
+    while stack:
+        entries, indent = stack[-1]
+        for key, value in entries:
+            line = " " if compact else "\n" + " " * indent
+            indented = key is None
+            head = "-" if indented else _key_head(key, allow_unicode)
+            if head is None:  # "? key", then ":" and the value on the next line
+                out.append(line + "?" + _leaf(key, allow_unicode, indent + 1, indent + 2))
+                line, head, indented = "\n" + " " * indent, ":", True
+            out.append(line + head)
+            kind, compact = type(value), False
+            if (kind is dict or kind is list) and value:
+                # a sequence under a simple key is not indented
+                stack.append((_entries(value), indent + 2 if indented or kind is dict else indent))
+                compact = indented
+                break
+            out.append(_leaf(value, allow_unicode, indent + len(head), indent + 2))
+        else:
+            stack.pop()
+    return "".join(out)[1:] + "\n"
 
 
 def emit_yaml(

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from tracegen import emit
 from tracegen.elements import RawElement, RawLink
 
 ETH_SCHEMA = {"type": "number", "minimum": 0, "unit": "milliseconds"}
@@ -150,8 +149,3 @@ def nested(depth, leaf=1):
     for level in range(depth):
         value = {"a": value} if level % 2 else [value]
     return value
-
-
-def always_fall_back(data, allow_unicode):
-    """Stands in for emit._write_block so that PyYAML writes every document."""
-    raise emit._Fallback

@@ -10,8 +10,9 @@ from tracegen.cli import cli
 from tracegen import checks, emit
 
 from conftest import (
-    CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, always_fall_back, nested, repo_files, write_repo,
+    CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, nested, repo_files, write_repo,
 )
+from test_emit import dump_reference
 
 
 def run(*args):
@@ -210,9 +211,11 @@ class TestCheck:
         [
             ("/abs/*.md", "Non-relative patterns are unsupported"),
             ("", "Unacceptable pattern: ''"),
+            (".", "Unacceptable pattern: '.'"),
+            ("./", "Unacceptable pattern: './'"),
             ("a/**.md", "Invalid pattern: '**' can only be an entire path component"),
         ],
-        ids=["absolute", "empty", "double-star-in-component"],
+        ids=["absolute", "empty", "dot", "dot-slash", "double-star-in-component"],
     )
     def test_unsupported_glob_exit_2(self, fig_repo, pattern, reason):
         repo, schema = fig_repo
@@ -438,14 +441,14 @@ class TestGenerate:
         assert run("check", repo, "--config-schema", config_path).exit_code == 0
         return repo, config_path
 
-    def test_deep_value_written_without_recursion(self, tmp_path, monkeypatch):
-        repo, config_path = self.deep_value_repo(tmp_path, '"a", 1.5, null')
+    @staticmethod
+    def assert_written_like_python_emitter(repo, config_path, monkeypatch):
+        """`generate` exits 0 and writes what PyYAML's emitter writes for the
+        same document; its representer recurses once per level, so the
+        reference runs under a higher recursion limit."""
         written = run("generate", repo, "--config-schema", config_path, "--format", "yaml")
         assert written.exit_code == 0, written.stderr
-        assert "- - - - - - - - - - - a\n" in written.stdout
-        # PyYAML's representer recurses once per level: the reference needs a
-        # higher recursion limit
-        monkeypatch.setattr(emit, "_write_block", always_fall_back)
+        monkeypatch.setattr(emit, "dump_yaml", dump_reference)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10_000)
         try:
@@ -454,16 +457,18 @@ class TestGenerate:
             sys.setrecursionlimit(limit)
         assert reference.exit_code == 0
         assert written.stdout == reference.stdout
+        return written.stdout
 
-    def test_value_too_deep_for_yaml_exit_2(self, tmp_path):
-        # NEL is a line break the block writer leaves to PyYAML, whose
-        # representer cannot recurse 500 levels deep
+    def test_deep_value_written_without_recursion(self, tmp_path, monkeypatch):
+        repo, config_path = self.deep_value_repo(tmp_path, '"a", 1.5, null')
+        text = self.assert_written_like_python_emitter(repo, config_path, monkeypatch)
+        assert "- - - - - - - - - - - a\n" in text
+
+    def test_deep_value_with_a_line_break_written_without_recursion(self, tmp_path, monkeypatch):
+        # NEL is a line break that PyYAML's own scalar writer writes, 500 levels deep
         repo, config_path = self.deep_value_repo(tmp_path, '"a\\u0085b"')
-        result = run("generate", repo, "--config-schema", config_path, "--format", "yaml")
-        assert result.exit_code == 2
-        assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert result.stderr == "fatal: a schema or value is nested too deeply to write as YAML\n"
-        assert result.stdout == ""
+        text = self.assert_written_like_python_emitter(repo, config_path, monkeypatch)
+        assert "- - - - - - - - - - - 'a\x85" in text
         result = run("generate", repo, "--config-schema", config_path, "--format", "plantuml")
         assert result.exit_code == 0, result.stderr
 

@@ -294,6 +294,18 @@ class TestScanRepository:
         files, _ = scan_repository(tmp_path, ("**/*.md",))
         assert [f.path for f in files] == ["a.md", "sub/c.md"]
 
+    @pytest.mark.parametrize("pattern, read_as", [("**", "**/*"), ("sub/**", "sub/**/*"),
+                                                   ("*/**", "*/**/*"), ("**/**", "**/**/*")])
+    def test_trailing_double_star_selects_every_file_below(self, tmp_path, pattern, read_as):
+        # as Python 3.13's Path.glob reads it; 3.10-3.12's selects no file
+        for name in ("a.md", "sub/b.md", "sub/deep/c.md", "other/d.md"):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(name)
+        files, _ = scan_repository(tmp_path, (pattern,))
+        expected, _ = scan_repository(tmp_path, (read_as,))
+        assert [f.path for f in files] == [f.path for f in expected]
+        assert "sub/deep/c.md" in [f.path for f in files]
+
     def test_missing_root(self, tmp_path):
         with pytest.raises(TracegenError, match="repository root not found"):
             scan_repository(tmp_path / "nope", ("*.md",))
@@ -306,13 +318,17 @@ class TestScanRepository:
         assert diagnostics[0].severity == "warning"
 
     # Python 3.13's Path.glob accepts the first two and names '.' for the
-    # third; every supported version refuses them with 3.10-3.12's message
+    # others, and 3.10-3.12's fails on '.' and './' in two ways; every
+    # supported version refuses them all with 3.10-3.12's message for ''
     @pytest.mark.parametrize(
         "pattern, message",
         [
             ("a/**.md", "Invalid pattern: '**' can only be an entire path component"),
             ("**x/*.md", "Invalid pattern: '**' can only be an entire path component"),
             ("", "Unacceptable pattern: ''"),
+            (".", "Unacceptable pattern: '.'"),
+            ("./", "Unacceptable pattern: './'"),
+            (".//.", "Unacceptable pattern: './/.'"),
         ],
     )
     def test_pattern_refused_before_globbing(self, tmp_path, pattern, message):

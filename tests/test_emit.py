@@ -17,7 +17,6 @@ from tracegen.traversal import (
 )
 from tracegen.ttim import default_extended_framework
 
-from conftest import always_fall_back
 from oracles import expected_records, load_intermediary
 from test_traversal import fig_graph
 
@@ -87,11 +86,15 @@ class TestYaml:
         assert emit_yaml(CONFIG, *fig_document()) == emit_yaml(CONFIG, *fig_document())
 
 
-def dump_with(dumper, data, allow_unicode):
-    """One emitter with dump_yaml's settings; the pure-Python one is the reference."""
-    return yaml.dump(
-        data, Dumper=dumper, sort_keys=True, default_flow_style=False, allow_unicode=allow_unicode
-    )
+class NoAliasDumper(yaml.SafeDumper):
+    def ignore_aliases(self, data):
+        return True
+
+
+def dump_reference(data, allow_unicode):
+    """The oracle: PyYAML's pure-Python emitter with dump_yaml's settings."""
+    return yaml.dump(data, Dumper=NoAliasDumper, sort_keys=True, default_flow_style=False,
+                     allow_unicode=allow_unicode)
 
 
 ASCII = [chr(c) for c in range(0x20, 0x7F)]
@@ -140,16 +143,8 @@ def random_document(rng, alphabet, depth=0):
     return random_scalar(rng, alphabet)
 
 
-def written_directly(data, allow_unicode):
-    """What the block writer makes of `data`, or None where it falls back."""
-    try:
-        return emit._write_block(data, allow_unicode)
-    except emit._Fallback:
-        return None
-
-
-# Strings on each edge of what the block writer covers; it writes each of them
-# (the non-ASCII ones only with allow_unicode).
+# Strings on each edge of what the writer's fast path covers; it writes each of
+# them (the non-ASCII ones only with allow_unicode).
 EDGE_STRINGS = [
     *["null", "Null", "NULL", "true", "True", "TRUE", "false", "False", "FALSE"],
     *["yes", "Yes", "YES", "no", "No", "NO", "on", "On", "ON", "off", "Off", "OFF", "y", "n"],
@@ -168,52 +163,49 @@ EDGE_STRINGS = [
 ]
 
 
-TEXT = st.lists(st.sampled_from(ASCII + BMP + SPECIAL + WORDS), max_size=40).map("".join)
+PIECES = st.sampled_from(ASCII + BMP + SPECIAL + WORDS)
+TEXT = st.lists(PIECES, max_size=40).map("".join)
+# keys PyYAML writes as "? key": empty, of 123 characters or more, or holding a line break
+KEY = st.one_of(
+    TEXT,
+    st.just(""),
+    st.lists(PIECES, min_size=123, max_size=200).map("".join),
+    st.tuples(TEXT, st.sampled_from("\n\x85\u2028\u2029"), TEXT).map("".join),
+)
 
 
 class TestDumpYaml:
     def test_same_bytes_as_python_emitter_on_random_documents(self):
         rng = random.Random(20240427)
         alphabets = [ASCII, ASCII + BMP, ASCII + BMP + SPECIAL]
-        written = 0
         for _ in range(1000):
             doc = {"root": random_document(rng, rng.choice(alphabets))}
             for allow_unicode in (True, False):
-                expected = dump_with(emit._PY_DUMPER, doc, allow_unicode)
-                assert dump_yaml(doc, allow_unicode) == expected, doc
-                written += written_directly(doc, allow_unicode) is not None
-        # the comparison is only worth something if the writer wrote a good share
-        assert written > 900
+                assert dump_yaml(doc, allow_unicode) == dump_reference(doc, allow_unicode), doc
 
     @pytest.mark.parametrize("text", EDGE_STRINGS)
     def test_edge_strings_written_like_python_emitter(self, text):
         # the same string at several start columns and indents, and as a key
-        doc = {"k": text, "seq": [text, [text]], "deep": {"a" * 20: {"b": [{"c": text}]}}}
-        if 0 < len(text) < 123:
-            doc[text] = [text]
+        doc = {"k": text, "seq": [text, [text]], "deep": {"a" * 20: {"b": [{"c": text}]}},
+               text: [text]}
         for allow_unicode in (True, False):
-            expected = dump_with(emit._PY_DUMPER, doc, allow_unicode)
-            assert dump_yaml(doc, allow_unicode) == expected
-            if allow_unicode or text.isascii():
-                assert written_directly(doc, allow_unicode) == expected
+            assert dump_yaml(doc, allow_unicode) == dump_reference(doc, allow_unicode)
 
-    @pytest.mark.parametrize("length, covered", [(99, True), (100, True), (122, True),
-                                                 (123, False), (128, False)])
-    def test_key_lengths(self, length, covered):
+    @pytest.mark.parametrize("length", [99, 100, 122, 123, 128])
+    def test_key_lengths(self, length):
         # PyYAML writes keys of 123 characters or more as "? key"
-        doc = {"k" * length: "v", "x" * length: {"y": 1}}
-        expected = dump_with(emit._PY_DUMPER, doc, False)
-        assert dump_yaml(doc, False) == expected
-        assert (written_directly(doc, False) is not None) == covered
+        doc = {"k" * length: "v", "x" * length: {"y": 1}, "y" * length: [[1], {"z": []}]}
+        assert dump_yaml(doc, False) == dump_reference(doc, False)
+        assert ("\n? " in dump_yaml(doc, False)) == (length >= 123)
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.dictionaries(
-            TEXT,
+            KEY,
             st.recursive(
                 st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
                 lambda children: st.lists(children, max_size=4)
-                | st.dictionaries(TEXT, children, max_size=4),
+                | st.dictionaries(KEY, children, max_size=4),
                 max_leaves=20,
             ),
             min_size=1,
@@ -222,9 +214,7 @@ class TestDumpYaml:
         st.booleans(),
     )
     def test_same_bytes_as_python_emitter_on_json_shaped_documents(self, doc, allow_unicode):
-        expected = dump_with(emit._PY_DUMPER, doc, allow_unicode)
-        assert dump_yaml(doc, allow_unicode) == expected
-        assert written_directly(doc, allow_unicode) in (None, expected)
+        assert dump_yaml(doc, allow_unicode) == dump_reference(doc, allow_unicode)
 
     @pytest.mark.parametrize(
         "data, allow_unicode",
@@ -240,22 +230,34 @@ class TestDumpYaml:
             pytest.param({"": 1}, True, id="empty-key"),
             pytest.param({"k" * 123: 1}, True, id="long-key"),
             pytest.param({"\u4e2d" * 123: 1}, True, id="long-bmp-key"),
+            pytest.param({"a\nb": 1, "c\x85": [1, [2]], "\u2028": {"d": {}}}, True,
+                         id="multi-line-keys"),
+            pytest.param([{"": [], "k" * 130: {"x": [1, 2]}}, {"a b " * 40: "v " * 40}], False,
+                         id="complex-keys-in-a-sequence"),
+            pytest.param({"a\tb": {"c\td": "e\tf", "\xe9": ["\xe9 " * 30]}}, False,
+                         id="double-quoted-keys"),
         ],
     )
-    def test_counterexamples_fall_back(self, data, allow_unicode):
+    def test_escapes_line_breaks_and_complex_keys(self, data, allow_unicode):
         # strings PyYAML escapes, folds at line breaks or writes as "? key"
-        assert written_directly(data, allow_unicode) is None
-        assert dump_yaml(data, allow_unicode) == dump_with(emit._PY_DUMPER, data, allow_unicode)
+        assert dump_yaml(data, allow_unicode) == dump_reference(data, allow_unicode)
 
-    def test_tool_documents_never_reach_the_fallback(self, monkeypatch):
-        fallbacks = []
-        real_dump = yaml.dump
+    def test_every_string_through_the_scalar_writer(self, monkeypatch):
+        # every key and value needs PyYAML's own scalar writer
+        text = "tab\there, caf\xe9 " * 8
+        doc = {"a\tb": text, "c\x85d": [text, {"\xe9": [text, "\u2028"]}], "x\ny": "\ufeff"}
+        calls = []
+        real = emit._emitted
+        monkeypatch.setattr(emit, "_emitted",
+                            lambda value, *args: calls.append(value) or real(value, *args))
+        emit._key_head.cache_clear()
+        assert dump_yaml(doc, False) == dump_reference(doc, False)
+        assert set(calls) == {"a\tb", text, "c\x85d", "\xe9", "\u2028", "x\ny", "\ufeff"}
 
-        def spy(data, **kwargs):
-            fallbacks.append(data)
-            return real_dump(data, **kwargs)
-
-        monkeypatch.setattr(yaml, "dump", spy)
+    def test_tool_documents_never_need_the_scalar_writer(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(emit, "_emitted", lambda *args: calls.append(args))
+        emit._key_head.cache_clear()
         paths, graph, resolutions = fig_document()
         emit_yaml(CONFIG, paths, graph, resolutions)
         report_to_yaml(run_all_checks(graph, TTIM, CONFIG, resolve_optimizer_inputs(graph, TTIM)))
@@ -264,18 +266,18 @@ class TestDumpYaml:
         text = report_to_yaml(CheckReport(violations, {"semantic_equivalence": (0, 1)}))
         assert "  message: 'placement ''/properties/x''" in text  # single-quoted
         assert "\n    it''s #1, it''s" in text  # and folded
-        assert fallbacks == []
+        assert calls == []
 
-    def test_fallback_writes_the_same_bytes(self, monkeypatch):
+    def test_fixture_document_written_like_python_emitter(self, monkeypatch):
         doc = fig_document()
         expected = emit_yaml(CONFIG, *doc)
-        monkeypatch.setattr(emit, "_write_block", always_fall_back)
+        monkeypatch.setattr(emit, "dump_yaml", dump_reference)
         assert emit_yaml(CONFIG, *doc) == expected
 
     @pytest.mark.parametrize("writer", [True, False])
     def test_shared_dict_written_without_aliases(self, monkeypatch, writer):
         if not writer:
-            monkeypatch.setattr(emit, "_write_block", always_fall_back)
+            monkeypatch.setattr(emit, "dump_yaml", dump_reference)
         paths, graph, resolutions = fig_document()
         shared = {"type": "number"}
         resolutions = {uid: dataclasses.replace(r, schema=shared) for uid, r in resolutions.items()}

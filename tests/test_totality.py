@@ -129,7 +129,7 @@ ttim_text = st.one_of(
 glob_pattern = st.one_of(
     st.none(),
     st.sampled_from([
-        "**/*.md", "*.md", "f0.md", "**", "", ".", "..", "/abs/*.md", "a/**.md",
+        "**/*.md", "*.md", "f0.md", "**", "", ".", "./", "..", "/abs/*.md", "a/**.md",
         "../*.md", "../repo/*.md", "**/../*.md", "a/../../*",
     ]),
     st.text(alphabet="*?[]!-.\\amdf0", max_size=6),
@@ -187,6 +187,7 @@ LINKED = (
 @hypothesis.example(files=[""], config="{}", ttim=None, glob="")
 @hypothesis.example(files=[""], config="{}", ttim=None, glob="a/**.md")
 @hypothesis.example(files=[""], config="{}", ttim=None, glob=".")
+@hypothesis.example(files=[""], config="{}", ttim=None, glob="./")
 @hypothesis.example(files=[""], config="{}", ttim=None, glob="../*.md")
 def test_every_subcommand_is_total(files, config, ttim, glob):
     runner = CliRunner()
