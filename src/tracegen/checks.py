@@ -53,72 +53,41 @@ def _violation(
 
 def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list[Diagnostic]:
     """Check 1: the graph instantiates only declared types and declared,
-    direction-respecting link types, and carries every required link."""
+    direction-respecting link types, and carries every required link.
+    Unsorted: ``run_all_checks`` orders the report."""
     out: list[Diagnostic] = []
+
+    def violation(uid: str, message: str) -> None:
+        out.append(_violation(CHECK_METAMODEL, "error", graph, uid, message))
+
     declared = ttim.node_type_names()
-    for uid in sorted(graph.elements):
-        element_type = graph.element_type(uid)
+    for element_type, uids in graph.by_type.items():
         if element_type not in declared:
-            out.append(
-                _violation(
-                    CHECK_METAMODEL,
-                    "error",
-                    graph,
-                    uid,
-                    f"element type {element_type!r} is not declared in the meta-model",
-                )
-            )
+            for uid in uids:
+                violation(uid, f"element type {element_type!r} is not declared in the meta-model")
+    link_defs = {link_def.name: link_def for link_def in ttim.link_types}
+    elements = graph.elements
     for source, link_type, target in graph.edges:
-        link_def = ttim.link_type(link_type)
+        link_def = link_defs.get(link_type)
         if link_def is None:
-            out.append(
-                _violation(
-                    CHECK_METAMODEL,
-                    "error",
-                    graph,
-                    source,
-                    f"link type {link_type!r} is not declared in the meta-model",
-                )
-            )
+            violation(source, f"link type {link_type!r} is not declared in the meta-model")
             continue
-        source_type = graph.element_type(source)
-        target_type = graph.element_type(target)
+        source_type = elements[source].element_type
+        target_type = elements[target].element_type
         if source_type not in link_def.source_types:
-            out.append(
-                _violation(
-                    CHECK_METAMODEL,
-                    "error",
-                    graph,
-                    source,
-                    f"link {link_type!r} may not start from a {source_type!r} element",
-                )
-            )
+            violation(source, f"link {link_type!r} may not start from a {source_type!r} element")
         if target_type not in link_def.target_types:
-            out.append(
-                _violation(
-                    CHECK_METAMODEL,
-                    "error",
-                    graph,
-                    source,
-                    f"link {link_type!r} may not point at a {target_type!r} element ({target})",
-                )
+            violation(
+                source,
+                f"link {link_type!r} may not point at a {target_type!r} element ({target})",
             )
     for link_def in ttim.link_types:
         if not link_def.required:
             continue
-        for uid in sorted(graph.elements):
-            if graph.element_type(uid) not in link_def.source_types:
-                continue
-            if not any(lt == link_def.name for lt, _ in graph.outgoing(uid)):
-                out.append(
-                    _violation(
-                        CHECK_METAMODEL,
-                        "error",
-                        graph,
-                        uid,
-                        f"missing required outgoing link of type {link_def.name!r}",
-                    )
-                )
+        for element_type in sorted(link_def.source_types):
+            for uid in graph.by_type.get(element_type, ()):
+                if not any(lt == link_def.name for lt, _ in graph.outgoing(uid)):
+                    violation(uid, f"missing required outgoing link of type {link_def.name!r}")
     return out
 
 

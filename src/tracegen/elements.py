@@ -18,22 +18,29 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from tracegen.errors import Diagnostic, InvalidJson, TracegenError
 from tracegen.schema import is_valid_pointer
 
 DEFAULT_GLOBS = ("**/*.md", "**/*.txt")
 
-# The first branch reads the documented link form, <treqs-link type="..."
-# target="..." />, straight into its two values. Every other link tag takes
-# the last branch and is read attribute by attribute; on a tag that the first
-# branch matches, the last would find the same two attributes.
+# The first two branches read the documented forms, <treqs-link type="..."
+# target="..." /> and <treqs-element id="..." type="..."> with an optional
+# label="..." and then placement="...", straight into their values. Every other
+# tag takes the third or the last branch and is read attribute by attribute; on
+# a tag that a documented branch matches, the other branch would end at the same
+# offset with the same attributes. (\s is str.isspace, so an id that holds
+# whitespace takes the other branch and its id check.)
 _TAG_RE = re.compile(
     r'<treqs-link\s+type="([^"<>]+)"\s+target="([^"<>]+)"\s*/>'
+    r'|<treqs-element\s+id="([^"\s<>]+)"\s+type="([^"<>]+)"'
+    r'(?:\s+label="([^"<>]*)")?(?:\s+placement="([^"<>]*)")?\s*>'
     r"|<treqs-element\b([^<>]*)>|</treqs-element>|<treqs-link\b([^<>]*?)/>"
 )
+_BAD_PLACEMENT = "placement is not a valid JSON Pointer: {!r}"
 _ATTR_RE = re.compile(r'\s*([A-Za-z_][\w.-]*)="([^"]*)"')
 _FENCE_RE = re.compile(
     r"^```(?:json)?[ \t]*\r?\n(.*?)^```[ \t]*$", re.MULTILINE | re.DOTALL
@@ -46,15 +53,13 @@ class SourceFile:
     content: str
 
 
-@dataclass(frozen=True)
-class RawLink:
+class RawLink(NamedTuple):
     link_type: str
     target_uid: str
     line: int  # the enclosing element carries the file
 
 
-@dataclass(frozen=True)
-class RawElement:
+class RawElement(NamedTuple):
     uid: str
     element_type: str
     label: str | None
@@ -65,12 +70,11 @@ class RawElement:
     line: int
 
 
-@dataclass
-class _Frame:
-    attrs: dict[str, str] | None  # None when the opening tag was malformed
+class _Frame(NamedTuple):
+    head: tuple | None  # RawElement's first four fields; None when the tag was malformed
     line: int
-    body_parts: list[str] = field(default_factory=list)
-    links: list[RawLink] = field(default_factory=list)
+    body_parts: list[str]
+    links: list[RawLink]
 
 
 def scan_repository(
@@ -88,13 +92,16 @@ def scan_repository(
     for pattern in include_globs:
         as_path = Path(pattern)
         # Path.glob treats these differently on each Python version (3.13 reads '**' in a
-        # component as '*', 3.10-3.12 fail on '.'): each is refused in 3.10-3.12's words
+        # component as '*', 3.10-3.12 fail on '.', 3.10 drops a trailing '/'): each is
+        # refused, in 3.10-3.12's words where they have any
         if ".." in as_path.parts:
             problem = "'..' leaves the repository root"
         elif not as_path.parts:
             problem = f"Unacceptable pattern: {pattern!r}"
         elif not as_path.anchor and any("**" in p and p != "**" for p in as_path.parts):
             problem = "Invalid pattern: '**' can only be an entire path component"
+        elif pattern.endswith("/"):
+            problem = "a trailing '/' selects directories only"
         else:
             problem = None
         if problem:
@@ -150,7 +157,7 @@ def _validate_open(raw: str) -> tuple[dict[str, str] | None, str | None]:
     if "type" not in attrs or not attrs["type"]:
         problems.append("missing type attribute")
     if "placement" in attrs and not is_valid_pointer(attrs["placement"]):
-        problems.append(f"placement is not a valid JSON Pointer: {attrs['placement']!r}")
+        problems.append(_BAD_PLACEMENT.format(attrs["placement"]))
     return (None, "; ".join(problems)) if problems else (attrs, None)
 
 
@@ -172,11 +179,19 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
         if stack:
             stack[-1].body_parts.append(content[body_from:start])
         counted, body_from = start, match.end()
-        link_type, target, open_attrs, link_attrs = match.groups()
+        link_type, target, uid, element_type, label, placement, open_attrs, link_attrs = (
+            match.groups())
         severity, problem = "error", None
-        if open_attrs is not None:
-            attrs, problem = _validate_open(open_attrs)
-            stack.append(_Frame(attrs=attrs, line=line))
+        if uid is not None or open_attrs is not None:
+            if uid is None:  # not the documented form
+                attrs, problem = _validate_open(open_attrs)
+                if problem is None:
+                    uid, element_type = attrs["id"], attrs["type"]
+                    label, placement = attrs.get("label"), attrs.get("placement")
+            elif placement is not None and not is_valid_pointer(placement):
+                problem = _BAD_PLACEMENT.format(placement)
+            head = None if problem else (uid, element_type, label, placement)
+            stack.append(_Frame(head, line, [], []))
         elif link_type is not None or link_attrs is not None:
             if link_type is None:  # not the documented form
                 attrs, problem = _parse_attrs(link_attrs)
@@ -191,19 +206,9 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
                     stack[-1].links.append(RawLink(link_type, target, line))
         elif not stack:
             problem = "closing tag without matching opening tag"
-        elif (frame := stack.pop()).attrs is not None:
-            elements.append(
-                RawElement(
-                    uid=frame.attrs["id"],
-                    element_type=frame.attrs["type"],
-                    label=frame.attrs.get("label"),
-                    placement=frame.attrs.get("placement"),
-                    body="".join(frame.body_parts),
-                    links=tuple(frame.links),
-                    file=path,
-                    line=frame.line,
-                )
-            )
+        elif (frame := stack.pop()).head is not None:
+            elements.append(RawElement(*frame.head, "".join(frame.body_parts),
+                                       tuple(frame.links), path, frame.line))
         if problem:
             diagnostics.append(Diagnostic(severity, problem, path, line))
     for frame in stack:

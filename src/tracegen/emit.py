@@ -165,12 +165,15 @@ def one_line(text: str) -> str:
     return text.translate(_LINE_BREAKS)
 
 
+_ALIAS_UNSAFE = re.compile(r"[^A-Za-z0-9]")
+
+
 def _aliases(uids: list[str]) -> dict[str, str]:
     """Stable PlantUML-safe aliases for arbitrary uids."""
     aliases: dict[str, str] = {}
     used: set[str] = set()
     for uid in uids:
-        base = "n_" + re.sub(r"[^A-Za-z0-9]", "_", uid)
+        base = "n_" + _ALIAS_UNSAFE.sub("_", uid)
         alias = base
         counter = 2
         while alias in used:

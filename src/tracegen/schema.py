@@ -38,8 +38,8 @@ ALLOWED_TYPES = {"object", "array", "string", "number", "integer", "boolean", "n
 # survives canonicalization and participates in equivalence. "description" does not.
 ANNOTATION_KEYWORDS = {"description"}
 
-# RFC 6901, matched whole: "" or "/"-led tokens that use "~" only in "~0" and "~1"
-_POINTER_RE = re.compile(r"(/([^/~]|~[01])*)*")
+# RFC 6901, matched whole: "" or "/"-led text in which every "~" starts "~0" or "~1"
+_POINTER_RE = re.compile(r"(?:/[^~]*(?:~[01][^~]*)*)?")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from tracegen.checks import CHECK_METAMODEL, _violation
 from tracegen.elements import RawElement, RawLink, SourceFile
 from tracegen.errors import Diagnostic, TracegenError
-from tracegen.schema import is_valid_pointer
 from tracegen.graph import TraceGraph
 from tracegen.traversal import DEFAULT_MAX_PATHS, ScenarioResult, TracePath
 from tracegen.ttim import TtimDefinition
@@ -254,9 +254,19 @@ def expected_records(paths, graph, resolutions):
     return records
 
 
+# RFC 6901 as one capture group per character, as tracegen.schema matched
+# it before: the reference for tracegen.schema.is_valid_pointer.
+_POINTER_RE = re.compile(r"(/([^/~]|~[01])*)*")
+
+
+def is_valid_pointer(text: str) -> bool:
+    return _POINTER_RE.fullmatch(text) is not None
+
+
 # The element parser as it was before the tag scan read the documented link
-# form in its own branch: every link tag goes through _parse_attrs. Kept
-# verbatim as the reference for tracegen.elements.parse_file.
+# and opening-tag forms in their own branches: every tag goes through
+# _parse_attrs. Kept verbatim, apart from the pointer check above, as the
+# reference for tracegen.elements.parse_file.
 _TAG_RE = re.compile(
     r"<treqs-element\b([^<>]*)>|</treqs-element>|<treqs-link\b([^<>]*?)/>"
 )
@@ -356,3 +366,75 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
         diagnostics.append(Diagnostic("error", "unclosed element block", path, frame.line))
     elements.sort(key=lambda e: e.line)
     return elements, diagnostics
+
+
+def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list[Diagnostic]:
+    """Check 1 as it was before it walked the type index: every uid sorted,
+    then sorted again per required link type, link types found by a linear
+    scan. The reference for tracegen.checks.check_metamodel_consistency."""
+    out: list[Diagnostic] = []
+    declared = ttim.node_type_names()
+    for uid in sorted(graph.elements):
+        element_type = graph.element_type(uid)
+        if element_type not in declared:
+            out.append(
+                _violation(
+                    CHECK_METAMODEL,
+                    "error",
+                    graph,
+                    uid,
+                    f"element type {element_type!r} is not declared in the meta-model",
+                )
+            )
+    for source, link_type, target in graph.edges:
+        link_def = ttim.link_type(link_type)
+        if link_def is None:
+            out.append(
+                _violation(
+                    CHECK_METAMODEL,
+                    "error",
+                    graph,
+                    source,
+                    f"link type {link_type!r} is not declared in the meta-model",
+                )
+            )
+            continue
+        source_type = graph.element_type(source)
+        target_type = graph.element_type(target)
+        if source_type not in link_def.source_types:
+            out.append(
+                _violation(
+                    CHECK_METAMODEL,
+                    "error",
+                    graph,
+                    source,
+                    f"link {link_type!r} may not start from a {source_type!r} element",
+                )
+            )
+        if target_type not in link_def.target_types:
+            out.append(
+                _violation(
+                    CHECK_METAMODEL,
+                    "error",
+                    graph,
+                    source,
+                    f"link {link_type!r} may not point at a {target_type!r} element ({target})",
+                )
+            )
+    for link_def in ttim.link_types:
+        if not link_def.required:
+            continue
+        for uid in sorted(graph.elements):
+            if graph.element_type(uid) not in link_def.source_types:
+                continue
+            if not any(lt == link_def.name for lt, _ in graph.outgoing(uid)):
+                out.append(
+                    _violation(
+                        CHECK_METAMODEL,
+                        "error",
+                        graph,
+                        uid,
+                        f"missing required outgoing link of type {link_def.name!r}",
+                    )
+                )
+    return out

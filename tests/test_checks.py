@@ -17,9 +17,10 @@ from tracegen.checks import (
 )
 from tracegen.graph import build_graph
 from tracegen.schema import escape_token
-from tracegen.ttim import default_extended_framework
+from tracegen.ttim import default_extended_framework, parse_ttim
 
-from conftest import mk_element
+import oracles
+from conftest import DEFAULT_TTIM, mk_element
 from oracles import recursive_property_paths, untargeted_properties
 from test_traversal import fig_graph, schema_body
 
@@ -90,6 +91,36 @@ class TestMetamodel:
             mk_element("REQ_NEW", "requirement", links=[("refines", "REQ_ETH")], line=20),
         ]
         assert check_metamodel_consistency(fig_graph(extra), TTIM) == []
+
+    # two required link types share the OptimizerInput source type, and one
+    # of them starts from two types
+    SHARED_SOURCE_TTIM = parse_ttim(DEFAULT_TTIM.replace(
+        "link_types:\n", "link_types:\n  - {name: checkedBy, source: [OptimizerInput, "
+        "requirement], target: [schema-type, requirement], required: true}\n"))
+
+    @pytest.mark.parametrize("ttim", [TTIM, SHARED_SOURCE_TTIM], ids=["default", "shared-source"])
+    def test_random_graphs_match_the_reference(self, ttim):
+        rng = random.Random(1305)
+        types = sorted(ttim.node_type_names()) + ["reqirement", "undeclared"]
+        link_types = [lt.name for lt in ttim.link_types] + ["colors", "undeclared"]
+        kinds = {"element": 0, "link": 0, "start": 0, "point": 0, "required": 0}
+        for _ in range(300):
+            uids = [f"E{i}" for i in range(rng.randint(1, 25))]
+            graph, _ = build_graph([
+                mk_element(uid, rng.choice(types), line=rng.randint(1, 9), links=[
+                    (rng.choice(link_types), rng.choice(uids)) for _ in range(rng.randint(0, 4))])
+                for uid in uids
+            ], reverse_links=rng.random() < 0.2)
+            out = check_metamodel_consistency(graph, ttim)
+            assert sorted(out, key=repr) == sorted(
+                oracles.check_metamodel_consistency(graph, ttim), key=repr)
+            for v in out:
+                kind = ("element" if v.message.startswith("element") else
+                        "link" if v.message.startswith("link type") else
+                        "start" if "may not start" in v.message else
+                        "point" if "may not point" in v.message else "required")
+                kinds[kind] += 1
+        assert min(kinds.values()) > 100, kinds
 
 
 class TestInternalSchema:

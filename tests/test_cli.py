@@ -214,8 +214,10 @@ class TestCheck:
             (".", "Unacceptable pattern: '.'"),
             ("./", "Unacceptable pattern: './'"),
             ("a/**.md", "Invalid pattern: '**' can only be an entire path component"),
+            ("*.md/", "a trailing '/' selects directories only"),
         ],
-        ids=["absolute", "empty", "dot", "dot-slash", "double-star-in-component"],
+        ids=["absolute", "empty", "dot", "dot-slash", "double-star-in-component",
+             "trailing-separator"],
     )
     def test_unsupported_glob_exit_2(self, fig_repo, pattern, reason):
         repo, schema = fig_repo

@@ -338,6 +338,21 @@ class TestScanRepository:
             scan_repository(tmp_path, ("**/*.md", pattern))
         assert str(caught.value) == f"unsupported glob pattern {pattern!r}: {message}"
 
+    # Python 3.10's Path.glob drops a trailing '/' and selects files;
+    # 3.11-3.13's selects only directories, so no file
+    @pytest.mark.parametrize(
+        "pattern", ["*.md/", "*/*.md/", "sub/*.md/", "**/", "*.md//", "*.md/./"])
+    def test_trailing_separator_refused_on_every_python(self, tmp_path, pattern):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "b.md").write_text("b")
+        (tmp_path / "a.md").write_text("a")
+        with pytest.raises(TracegenError) as caught:
+            scan_repository(tmp_path, ("**/*.md", pattern))
+        assert str(caught.value) == (
+            f"unsupported glob pattern {pattern!r}: a trailing '/' selects directories only")
+        files, _ = scan_repository(tmp_path, (pattern.rstrip("/."),))
+        assert files  # the same pattern without the separator selects files
+
     def test_absolute_pattern_with_double_star_is_refused_as_absolute(self, tmp_path):
         with pytest.raises(TracegenError, match="Non-relative patterns are unsupported"):
             scan_repository(tmp_path, ("/a/**.md",))
@@ -374,11 +389,16 @@ def test_line_is_one_plus_newlines_before_the_tag(content):
     ]
 
 
-# Values and attribute texts for the tag-soup test: a link in the documented
-# form takes the tag scan's own branch, every other form is read attribute by
-# attribute; both must give what the reference parser gives.
+# Values and attribute texts for the tag-soup test: a link or an opening tag
+# in the documented form takes the tag scan's own branch, every other form is
+# read attribute by attribute; both must give what the reference parser gives.
 _VALUES = ("R1", "a/b", "/", "a<b", "a>b", "a\nb", "", " ", "x y", "é", "a'b", "/>")
 _SPACES = (" ", "  ", "\n", "\t", " \r\n ")
+# mostly well-formed ids, and ones holding whitespace beyond " \t\n\r\f\v":
+# the id check rejects them, so the documented branch must not read them
+_IDS = ("E1", "E2", "E3", "é", "a/b", "a'b") * 3 + (
+    "E\x1c", "E\x85F", "\xa0E", "E\u2003", "E\u3000", "", "x y", "a\nb", "a<b", "/>")
+_PLACEMENTS = _VALUES + ("/p", "a", "/a~2", "/a~0b~1", "/a\n")
 
 
 def _link_tag(rng):
@@ -404,20 +424,42 @@ def _link_tag(rng):
     ))
 
 
+def _open_tag(rng):
+    sp = lambda: rng.choice(_SPACES)  # noqa: E731
+    value = lambda: rng.choice(_VALUES)  # noqa: E731
+    uid = lambda: rng.choice(_IDS)  # noqa: E731
+    label = f'label="{rng.choice(_VALUES)}"'
+    placement = f'placement="{rng.choice(_PLACEMENTS)}"'
+    if rng.randrange(4):  # the documented order, with any whitespace
+        return (f'<treqs-element{sp()}id="{uid()}"{sp()}type="{value()}"'
+                f'{rng.choice(("", sp() + label))}{rng.choice(("", sp() + placement))}'
+                f'{rng.choice(("", sp()))}>')
+    return rng.choice((
+        f'<treqs-element{sp()}type="{value()}"{sp()}id="{uid()}">',
+        f'<treqs-element id="{uid()}" type="{value()}" {placement} {label}>',
+        f'<treqs-element {label} id="{uid()}" type="{value()}">',
+        f'<treqs-element id="{uid()}" type="{value()}" note="{value()}">',
+        f'<treqs-element id="{uid()}" id="{uid()}" type="{value()}">',
+        f'<treqs-element id="{uid()}"type="{value()}">',
+        f'<treqs-element id="{uid()}" type="{value()}" {label} {label}>',
+        f'<treqs-element id="{uid()}" type=t>',  # malformed: its links are dropped
+        f'<treqs-element type="{value()}">',
+        f'<treqs-element id="{uid()}">',
+        f'<treqs-elementx id="{uid()}" type="t">',
+        f"<treqs-element id='{uid()}' type='t'>",
+        "<treqs-element>",
+    ))
+
+
 def _tag_soup(rng):
     parts = []
     for _ in range(rng.randint(0, 40)):
         kind = rng.randrange(10)
         if kind < 4:
             parts.append(_link_tag(rng))
-        elif kind < 6:
-            parts.append(rng.choice((
-                f'<treqs-element id="E{rng.randrange(9)}" type="t">',
-                f'<treqs-element id="E{rng.randrange(9)}" type="t" placement="/p">',
-                '<treqs-element id="E" type=t>',  # malformed: its links are dropped
-                '<treqs-element type="t">',
-            )))
-        elif kind < 8:
+        elif kind < 7:
+            parts.append(_open_tag(rng))
+        elif kind < 9:
             parts.append("</treqs-element>")
         else:
             parts.append(rng.choice(("prose", "\n", "a < b > c", '"q"', "/", "/>", "<", ">")))
@@ -427,14 +469,29 @@ def _tag_soup(rng):
 
 def test_tag_soup_matches_the_reference_parser():
     rng = random.Random(20240611)
-    branches = {"documented": 0, "other": 0}
+    branches = dict.fromkeys(("documented link", "other link", "documented open", "other open"), 0)
     for _ in range(600):
         file = src(_tag_soup(rng))
         elements, diagnostics = parse_file(file)
         assert (elements, diagnostics) == oracles.parse_file(file), file.content
         for match in _TAG_RE.finditer(file.content):
-            if match.group(1) is not None:
-                branches["documented"] += 1
-            elif match.group(4) is not None:
-                branches["other"] += 1
+            link_type, target, uid, element_type, label, placement, open_attrs, link_attrs = (
+                match.groups())
+            if open_attrs is not None or link_attrs is not None:
+                branches["other open" if open_attrs is not None else "other link"] += 1
+                continue
+            if link_type is not None:
+                branches["documented link"] += 1
+                expected = {"type": link_type, "target": target}
+            elif uid is not None:
+                branches["documented open"] += 1
+                expected = {"id": uid, "type": element_type, "label": label,
+                            "placement": placement}
+            else:  # a closing tag
+                continue
+            # the reference's attribute-by-attribute branch reads the same tag alike
+            other = oracles._TAG_RE.match(file.content, match.start())
+            assert other.end() == match.end()
+            attrs, _ = oracles._parse_attrs(other.group(1) if uid else other.group(2))
+            assert attrs == {k: v for k, v in expected.items() if v is not None}
     assert min(branches.values()) > 500, branches

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracegen.errors import PointerUnresolvable, SchemaError
 from tracegen.schema import (
@@ -14,6 +17,7 @@ from tracegen.schema import (
 )
 
 from conftest import nested
+import oracles
 from oracles import naive_valid, recursive_property_paths
 
 
@@ -139,6 +143,17 @@ class TestPointer:
         # RFC 6901 lets a reference token hold any character but '/' and a bare '~'
         assert is_valid_pointer("/properties/x\n") and is_valid_pointer("")
         assert resolve_pointer({"properties": {"x\n": {}}}, "/properties/x\n") == {}
+
+    def test_is_valid_pointer_matches_the_reference_on_every_short_text(self):
+        for n in range(7):
+            for chars in itertools.product("/~01a\n", repeat=n):
+                text = "".join(chars)
+                assert is_valid_pointer(text) == oracles.is_valid_pointer(text), text
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="/~01a\n", max_size=40) | st.text(max_size=40))
+    def test_is_valid_pointer_matches_the_reference(self, text):
+        assert is_valid_pointer(text) == oracles.is_valid_pointer(text)
 
 
 class TestCanonicalize:

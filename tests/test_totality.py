@@ -130,7 +130,7 @@ glob_pattern = st.one_of(
     st.none(),
     st.sampled_from([
         "**/*.md", "*.md", "f0.md", "**", "", ".", "./", "..", "/abs/*.md", "a/**.md",
-        "../*.md", "../repo/*.md", "**/../*.md", "a/../../*",
+        "../*.md", "../repo/*.md", "**/../*.md", "a/../../*", "*.md/", "**/",
     ]),
     st.text(alphabet="*?[]!-.\\amdf0", max_size=6),
 )
