@@ -264,11 +264,8 @@ def run_all_checks(
     config_schema: SchemaDoc,
     resolutions: dict[str, Resolution],
 ) -> CheckReport:
-    """Run the three checks in order and aggregate a sorted report.
-
-    ``resolutions`` is ``resolve_optimizer_inputs(graph, ttim)``; the caller
-    keeps it only if it goes on to collect records from it.
-    """
+    """Run the three checks in order and aggregate a sorted report;
+    ``resolutions`` is ``resolve_optimizer_inputs(graph, ttim)``."""
     violations = (
         check_metamodel_consistency(graph, ttim)
         + check_internal_schema_correctness(graph, resolutions)

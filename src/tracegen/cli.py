@@ -209,7 +209,7 @@ def cmd_generate(
         summary.require_resolved(resolutions)
         if output_format == "yaml":  # one record per path: list them
             paths = collect_optimizer_inputs([
-                traverse_from_scenario(graph, ttim, uid, found)
+                traverse_from_scenario(summary, uid, found)
                 for uid, found in zip(summary.scenarios, warnings)
             ])
     except TracegenError as exc:

@@ -225,17 +225,33 @@ def first_json_fence(element: RawElement) -> tuple[str | None, bool]:
     return (first.group(1) if first else None), next(fences, None) is not None
 
 
+MAX_NESTING = 512  # RFC 8259 section 9 allows a bound; every walk of a value takes this
+_TOO_DEEP = f"arrays and objects nested more than {MAX_NESTING} deep"
+
+
 def parse_json(text: str):
     """Parse RFC 8259 JSON, for fenced blocks and the config schema alike. Any
     other text raises InvalidJson: NaN, +/-Infinity, a number past a float's
-    range, an integer past int()'s digit limit, nesting past the recursion limit."""
+    range, an integer past int()'s digit limit, arrays and objects nested more
+    than MAX_NESTING deep."""
     try:
-        return json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant,
-                          object_pairs_hook=_shared_strings)
+        value = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant,
+                           object_pairs_hook=_shared_strings)
     except json.JSONDecodeError as exc:
         raise InvalidJson(exc.msg) from exc  # the cause keeps the line and column
-    except (ValueError, RecursionError) as exc:
-        raise InvalidJson(str(exc)) from exc
+    except (ValueError, RecursionError) as exc:  # recursion fails only past the bound
+        raise InvalidJson(_TOO_DEEP if type(exc) is RecursionError else str(exc)) from exc
+    # a text nests no deeper than half its length, nor than its count of [ and {
+    if len(text) > 2 * MAX_NESTING and text.count("[") + text.count("{") > MAX_NESTING:
+        # the arrays and objects inside as many others, one depth at a time
+        level = [value] if type(value) in (list, dict) else []
+        for _ in range(MAX_NESTING):
+            level = [inner for outer in level
+                     for inner in (outer.values() if type(outer) is dict else outer)
+                     if type(inner) is dict or type(inner) is list]
+        if level:
+            raise InvalidJson(_TOO_DEEP)
+    return value
 
 
 def _shared_strings(pairs: list[tuple[str, object]]) -> dict:

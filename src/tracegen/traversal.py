@@ -1,13 +1,14 @@
 """Framework traversal: every simple path from a runtime scenario down to an
 optimizer input; those paths are the records that feed the emitters.
 
-The summary counts and unites a scenario's paths without listing them. Take a
-node that is the first of its strongly connected component (SCC) on the path:
-no earlier path node is reachable from it, or it would share that component,
-so the depth-first search below it is the same whatever the prefix. That
-search is summarized once per such entry node. Only moves inside a
-nontrivial SCC still enumerate simple paths, since counting those is
-#P-complete.
+Take a node that is the first of its strongly connected component (SCC) on
+the path: no earlier path node is reachable from it, or it would share that
+component, so the depth-first search below it is the same whatever the
+prefix. That search runs once per such entry node and keeps the paths it
+records as pieces, which share their common edges and end where the path
+ends or leaves the SCC. The PlantUML overview unites the pieces' edges, and
+the YAML records are the pieces joined. Only moves inside a nontrivial SCC
+still enumerate simple paths, since counting those is #P-complete.
 """
 
 from __future__ import annotations
@@ -50,8 +51,12 @@ class ScenarioResult:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def find_runtime_scenarios(graph: TraceGraph, ttim: TtimDefinition) -> list[str]:
-    return find_by_type(graph, ttim.scenario_type)
+# A piece is a path the search below an entry records: its trail, then the
+# entry its last edge leads to out of the SCC (None: it ends at an input). A
+# trail is the last edge and the trail before it, None at the entry, so the
+# pieces share their common edges and the search copies no path.
+_Trail = "tuple[Edge, _Trail] | None"
+_Piece = tuple[_Trail, str | None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +67,7 @@ class _Entry:
     # in order of first occurrence: the cycle edges it prunes and the entries
     # below whose search prunes any
     events: tuple[Edge | str, ...]
-    used: tuple[Edge, ...]  # edges of the paths it records: in the SCC and out of it
+    pieces: tuple[_Piece, ...]  # in the order the search records them
 
 
 def _cycle_warning(graph: TraceGraph, edge: Edge) -> Diagnostic:
@@ -91,7 +96,6 @@ class TraversalSummary:
     scenarios: list[str]
     max_paths: int
     over_cap: str | None
-    _component: dict[str, str]
     _entries: dict[str, _Entry]
 
     def count(self, scenario: str) -> int:
@@ -125,20 +129,23 @@ class TraversalSummary:
 
     def reached(self, scenarios: list[str]) -> tuple[set[str], set[Edge]]:
         """The nodes and edges of the given scenarios' trace paths."""
-        component = self._component
-        todo = [uid for uid in scenarios if self._entries[uid].count]
+        todo = [uid for uid in scenarios if self._entries[uid].pieces]
         nodes = set(todo)  # a scenario with a path and the entries those paths visit
         edges: set[Edge] = set()
+        read: set[int] = set()  # the trails read back to their entry, by identity
         while todo:
-            for edge in self._entries[todo.pop()].used:
-                edges.add(edge)
-                source, _, target = edge
-                if component[target] != component[source] and target not in nodes:
-                    nodes.add(target)
-                    todo.append(target)
-        for source, _, target in edges:
-            nodes.add(source)
-            nodes.add(target)
+            for trail, below in self._entries[todo.pop()].pieces:
+                while trail is not None:
+                    edge, trail = trail
+                    edges.add(edge)
+                    if id(trail) in read:  # None is read after the first piece
+                        break
+                    read.add(id(trail))
+                if below is not None and below not in nodes:
+                    nodes.add(below)
+                    todo.append(below)
+        # an edge starts at its entry or where the edge before it ends
+        nodes.update(target for _, _, target in edges)
         return nodes, edges
 
     def require_resolved(self, resolutions: dict[str, Resolution]) -> None:
@@ -172,19 +179,17 @@ def _search_below(
     oi_type, schema_link = ttim.optimizer_input_type, ttim.schema_link
     events: list[Edge | str] = []
     noted: set[Edge | str] = set()
-    used: set[Edge] = set()
+    # the path that ends at the entry, if it is an input
+    pieces: list[_Piece] = [(None, None)] if graph.element_type(entry) == oi_type else []
+    count = len(pieces)
     on_path = {entry}
-    recorded = graph.element_type(entry) == oi_type
-    count = int(recorded)
-    # one frame per path node: the node, its neighbour iterator, whether a
-    # path is recorded at or below it, and the edge into it
-    frames = [[entry, iter(graph.outgoing(entry)), recorded, None]]
+    # one frame per path node: the node, its neighbour iterator and its trail
+    frames = [(entry, iter(graph.outgoing(entry)), None)]
     while frames:
         if count > cap:  # whoever reaches this entry fails: its events go unused
             return _Entry(count, (), ())
-        frame = frames[-1]
-        node = frame[0]
-        for link_type, target in frame[1]:
+        node, neighbours, trail = frames[-1]
+        for link_type, target in neighbours:
             if link_type == schema_link:
                 continue
             edge = (node, link_type, target)
@@ -196,24 +201,22 @@ def _search_below(
                 below = summaries[target]
                 if below.count:
                     count += below.count
-                    used.add(edge)
-                    frame[2] = True
+                    pieces.append(((edge, trail), target))
                 if below.events and target not in noted:
                     noted.add(target)
                     events.append(target)
             else:
                 on_path.add(target)
-                recorded = graph.element_type(target) == oi_type
-                count += recorded
-                frames.append([target, iter(graph.outgoing(target)), recorded, edge])
+                trail = (edge, trail)
+                if graph.element_type(target) == oi_type:
+                    count += 1
+                    pieces.append((trail, None))
+                frames.append((target, iter(graph.outgoing(target)), trail))
                 break
         else:
             frames.pop()
             on_path.discard(node)
-            if frame[2] and frames:
-                used.add(frame[3])
-                frames[-1][2] = True
-    return _Entry(count, tuple(events), tuple(used))
+    return _Entry(count, tuple(events), tuple(pieces))
 
 
 def summarize_traversal(
@@ -231,7 +234,7 @@ def summarize_traversal(
     which it is the first of its SCC, so an entry past the cap puts that
     scenario past it too, and summarizing stops there.
     """
-    scenarios = find_runtime_scenarios(graph, ttim)
+    scenarios = find_by_type(graph, ttim.scenario_type)
     schema_link = ttim.schema_link
     cap = max(max_paths, 0)
     index: dict[str, int] = {}
@@ -286,50 +289,32 @@ def summarize_traversal(
         if not (summarize(root) if root in index else search(root)):
             over_cap = root
             break
-    return TraversalSummary(graph, ttim, scenarios, max_paths, over_cap, component, summaries)
+    return TraversalSummary(graph, ttim, scenarios, max_paths, over_cap, summaries)
 
 
 def traverse_from_scenario(
-    graph: TraceGraph,
-    ttim: TtimDefinition,
-    scenario: str,
-    warnings: list[Diagnostic] | None = None,
+    summary: TraversalSummary, scenario: str, warnings: list[Diagnostic] | None = None
 ) -> ScenarioResult:
-    """Depth-first enumeration of the simple paths the summary counts for
-    ``scenario``, sorted by input, nodes and link types. ``warnings``, the
-    scenario's cycle warnings as ``TraversalSummary.warnings`` lists them,
-    ride along in the result."""
-    if scenario not in graph.elements or graph.element_type(scenario) != ttim.scenario_type:
-        raise TracegenError(f"{scenario!r} is not an element of type {ttim.scenario_type!r}")
-
+    """The trace paths the summary counts for ``scenario``, its pieces joined
+    from entry to entry, sorted by input, nodes and link types. ``warnings``,
+    as ``TraversalSummary.warnings`` lists them, ride along in the result."""
     paths: list[TracePath] = []
-    path: list[str] = [scenario]
-    links: list[str] = []
-    on_path: set[str] = {scenario}
-    if ttim.scenario_type == ttim.optimizer_input_type:
-        paths.append(TracePath(nodes=(scenario,), link_types=()))
-    # an explicit stack of neighbour iterators, one per node on the path, so
-    # the depth is not bounded by the recursion limit
-    stack = [iter(graph.outgoing(scenario))]
+    # one frame per entry on the path: its pieces and the trail that led to it
+    stack = [(iter(summary._entries[scenario].pieces), None)]
     while stack:
-        for link_type, target in stack[-1]:
-            if link_type == ttim.schema_link or target in on_path:
-                continue
-            on_path.add(target)
-            path.append(target)
-            links.append(link_type)
-            if graph.element_type(target) == ttim.optimizer_input_type:
-                paths.append(
-                    TracePath(nodes=tuple(reversed(path)), link_types=tuple(reversed(links)))
-                )
-            stack.append(iter(graph.outgoing(target)))
-            break
+        for trail, below in stack[-1][0]:
+            if below is not None:
+                stack.append((iter(summary._entries[below].pieces), trail))
+                break
+            edges = []  # the path's edges, last first
+            for cell in (trail, *(led for _, led in reversed(stack))):
+                while cell is not None:
+                    edge, cell = cell
+                    edges.append(edge)
+            nodes = (*(target for _, _, target in edges), scenario)
+            paths.append(TracePath(nodes, tuple(link for _, link, _ in edges)))
         else:
             stack.pop()
-            on_path.discard(path.pop())
-            if links:
-                links.pop()
-
     paths.sort(key=lambda p: (p.nodes[0], p.nodes, p.link_types))
     return ScenarioResult(paths=paths, diagnostics=list(warnings or ()))
 

@@ -105,7 +105,8 @@ def brute_force_paths(edges, types, scenario, target_type, excluded_link):
 
 
 # The enumerator as it was before the traversal summary: the reference for
-# the summary's counts, unions and cycle warnings, and for the cap.
+# the summary's counts, unions, cycle warnings and listed paths, and for the
+# cap.
 def traverse_from_scenario(
     graph: TraceGraph,
     ttim: TtimDefinition,

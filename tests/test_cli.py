@@ -266,7 +266,8 @@ class TestCheck:
             ("1" + "0" * 400, {"type": "integer", "maximum": 100},
              "instance violates schema at <root>: maximum: 1" + "0" * 400 + " > 100"),
             ("1" * 5000, ETH_SCHEMA, "invalid JSON in fenced block: Exceeds the limit"),
-            ("[" * 100000, ETH_SCHEMA, "invalid JSON in fenced block: maximum recursion"),
+            ("[" * 100000, ETH_SCHEMA,
+             "invalid JSON in fenced block: arrays and objects nested more than 512 deep"),
         ],
         ids=["nan", "infinity", "minus-infinity", "1e400", "1e400-number", "401-digits",
              "5000-digits", "deep"],
@@ -694,3 +695,87 @@ class TestListScenarios:
         generated = run("generate", repo, "--config-schema", schema)
         count = int(listing.stdout.splitlines()[0].split("\t")[2])
         assert count == len(yaml.safe_load(generated.stdout)["optimizer_inputs"])
+
+
+def items_chain(depth):
+    """``depth`` schemas, each the ``items`` of the one around it."""
+    schema = {}
+    for _ in range(depth - 1):
+        schema = {"items": schema}
+    return schema
+
+
+def properties_chain(depth):
+    """Schemas ``depth`` objects deep, each a ``properties`` entry of the one
+    two levels out."""
+    schema = {} if depth % 2 else {"properties": {}}
+    for _ in range((depth - 1) // 2):
+        schema = {"properties": {"a": schema}}
+    return schema
+
+
+# a schema nested exactly ``depth`` deep, and a value it accepts
+NESTED_SCHEMAS = {
+    "const": lambda depth: ({"const": nested(depth - 1)}, nested(depth - 1)),
+    "enum": lambda depth: ({"enum": [0, nested(depth - 2)]}, nested(depth - 2)),
+    "items": lambda depth: (items_chain(depth), []),
+    "properties": lambda depth: (properties_chain(depth), {}),
+}
+NESTING_LIMIT = "arrays and objects nested more than 512 deep"
+
+
+class TestNestingBound:
+    """Every JSON text is read up to 512 levels of arrays and objects and
+    refused past them, on every Python, and every subcommand ends cleanly at
+    the bound and one level past it."""
+
+    COMMANDS = [
+        ("check", "--report", "report.yaml"),
+        ("generate", "--format", "yaml"),
+        ("generate", "--format", "plantuml"),
+        ("list-scenarios",),
+    ]
+
+    @staticmethod
+    def nested_repo(tmp_path, shape, depth, where):
+        """The fixture with ST_ETH's body and OI_ETH's value built by
+        ``shape``: the body ``depth`` deep, or, for ``where="config"``, the
+        config schema ``depth`` deep with that body as ethernet_latency."""
+        schema, value = NESTED_SCHEMAS[shape](depth if where == "schema-type" else depth - 2)
+        files = repo_files(oi_eth_value=json.dumps(value))
+        files["optimizer.md"] = files["optimizer.md"].replace(
+            json.dumps(ETH_SCHEMA), json.dumps(schema), 1)
+        config = json.loads(json.dumps(CONFIG_SCHEMA))
+        if where == "config":
+            config["properties"]["ethernet_latency"] = schema
+        return write_repo(tmp_path, files, config)
+
+    @pytest.mark.parametrize("where", ["schema-type", "config"])
+    @pytest.mark.parametrize("shape", list(NESTED_SCHEMAS))
+    @pytest.mark.parametrize("depth", [512, 513], ids=["at-the-bound", "past-it"])
+    def test_every_subcommand_at_and_past_the_bound(self, tmp_path, monkeypatch, depth,
+                                                      shape, where):
+        repo, schema = self.nested_repo(tmp_path, shape, depth, where)
+        monkeypatch.chdir(tmp_path)
+        for command in self.COMMANDS:
+            result = run(command[0], repo, "--config-schema", schema, *command[1:])
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            outcome = (result.exit_code, result.stderr)
+            if depth == 512:
+                # read in full: only check 3 fails, since the deep schema-type
+                # is not the configuration's subschema at its placement
+                assert NESTING_LIMIT not in result.stderr
+                failed = where == "schema-type" and command[0] != "list-scenarios"
+                assert result.exit_code == int(failed)
+                assert ("error: semantic_equivalence: optimizer.md:3: schema mismatch"
+                        in result.stderr) == (failed and command[0] == "check")
+            elif where == "config":
+                assert outcome == (2, f"fatal: config schema is not valid JSON: {NESTING_LIMIT}\n")
+            elif command[0] == "check":
+                assert result.exit_code == 1
+                assert (f"error: internal_schema: optimizer.md:17: invalid JSON in fenced block: "
+                        f"{NESTING_LIMIT}\n") in result.stderr
+            elif command[0] == "generate":
+                assert outcome == (1, "checks failed; run check for details\n")
+            else:
+                assert outcome == (0, "")  # list-scenarios reads no schema-type body

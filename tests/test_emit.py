@@ -10,15 +10,11 @@ from tracegen import emit
 from tracegen.checks import CheckReport, report_to_yaml, resolve_optimizer_inputs, run_all_checks
 from tracegen.emit import dump_yaml, emit_plantuml, emit_yaml
 from tracegen.errors import Diagnostic
-from tracegen.traversal import (
-    collect_optimizer_inputs,
-    summarize_traversal,
-    traverse_from_scenario,
-)
+from tracegen.traversal import collect_optimizer_inputs, summarize_traversal
 from tracegen.ttim import default_extended_framework
 
 from oracles import expected_records, load_intermediary
-from test_traversal import fig_graph
+from test_traversal import fig_graph, listed
 
 TTIM = default_extended_framework()
 
@@ -35,7 +31,7 @@ def fig_document():
     """The fixture's records with what the emitters read them against:
     (paths, graph, resolutions)."""
     graph = fig_graph()
-    results = [traverse_from_scenario(graph, TTIM, "RS1")]
+    results = [listed(graph)]
     resolutions = resolve_optimizer_inputs(graph, TTIM)
     return collect_optimizer_inputs(results), graph, resolutions
 

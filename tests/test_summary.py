@@ -4,7 +4,9 @@ overview, and depth past the recursion limit."""
 
 import dataclasses
 import random
+import re
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,8 +14,8 @@ from click.testing import CliRunner
 
 from tracegen.cli import cli
 from tracegen.errors import TracegenError
-from tracegen.graph import build_graph
-from tracegen.traversal import find_runtime_scenarios, summarize_traversal, traverse_from_scenario
+from tracegen.graph import build_graph, find_by_type
+from tracegen.traversal import summarize_traversal, traverse_from_scenario
 from tracegen.ttim import default_extended_framework
 
 import oracles
@@ -34,7 +36,7 @@ def assert_matches_reference(graph, ttim):
     """Each scenario's count, nodes, edges, inputs and warnings equal what the
     reference enumerator's paths give; the enumerator lists the same paths."""
     summary = summarize_traversal(graph, ttim, UNLIMITED)
-    assert summary.scenarios == find_runtime_scenarios(graph, ttim)
+    assert summary.scenarios == find_by_type(graph, ttim.scenario_type)
     all_nodes, all_edges = set(), set()
     for scenario in summary.scenarios:
         reference = oracles.traverse_from_scenario(graph, ttim, scenario, max_paths=UNLIMITED)
@@ -48,7 +50,7 @@ def assert_matches_reference(graph, ttim):
         inputs = {uid for uid in nodes if graph.element_type(uid) == ttim.optimizer_input_type}
         assert inputs == {path.uid for path in reference.paths}
         assert summary.warnings(scenario) == reference.diagnostics
-        assert traverse_from_scenario(graph, ttim, scenario).paths == reference.paths
+        assert traverse_from_scenario(summary, scenario).paths == reference.paths
         all_nodes |= nodes
         all_edges |= edges
     assert summary.reached(summary.scenarios) == (all_nodes, all_edges)
@@ -312,6 +314,35 @@ def test_cap_stops_before_a_later_component(tmp_path):
         1, "", "error: scenario 'RS1' exceeds 100 trace paths\n")
 
 
+def test_paths_through_a_long_cycle_share_their_edges():
+    """A cycle of 5,000 requirements, each of which realizes OI: the 5,000
+    paths hold 12.5 million edges between them, but the summary keeps each
+    edge it walks once, shared by every path through it."""
+    n = 5_000
+    elements = [
+        mk_element("RS1", "runtime-scenario", links=[("scopes", "AL1")]),
+        mk_element("AL1", "abstraction-level", links=[("contains", "CH0")], line=2),
+        mk_element("OI", "OptimizerInput", line=3),
+    ]
+    for i in range(n):
+        # a refines chain, and each requirement after CH0 also refines CH0
+        links = [("realizes", "OI")] + [("refines", f"CH{i + 1}")] * (i + 1 < n)
+        links += [("refines", "CH0")] * (i > 0)
+        elements.append(mk_element(f"CH{i}", "requirement", links=links, line=4 + i))
+    graph, diagnostics = build_graph(elements, reverse_links=False)
+    assert diagnostics == []
+    tracemalloc.start()
+    try:
+        summary = summarize_traversal(graph, TTIM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.count("RS1") == n
+    # scopes, contains, the chain and every realizes: the back edges are pruned
+    assert len(summary.reached(["RS1"])[1]) == 2 + (n - 1) + n
+    assert peak < 20 * 2**20  # about 4 MB; a copy of each path takes about 100 MB
+
+
 class TestExactCounts:
     def test_ladder_of_64_diamonds(self, tmp_path):
         repo, schema = ladder_repo(tmp_path, 64)
@@ -344,6 +375,16 @@ class TestExactCounts:
         assert overview.stderr.count("\n") == (19_999 if back_edges else 0)
         # the chain's links, then realizes, scopes and contains
         assert overview.stdout.count(" --> ") == 19_999 + 3
+        start = time.perf_counter()
+        document = run("generate", repo, "--config-schema", schema, "--format", "yaml")
+        assert time.perf_counter() - start < 10
+        assert document.exit_code == 0, document.exception
+        assert document.stderr == overview.stderr
+        # one record, whose trace is OI_ETH, the chain from its end, AL1 and
+        # RS1 (read from the block layout: a YAML loader takes seconds here)
+        assert document.stdout.count("\n- ") == 1
+        trace = re.findall(r"^    uid: (.*)$", document.stdout, re.MULTILINE)
+        assert trace == ["OI_ETH", *(f"CH{i}" for i in reversed(range(20_000))), "AL1", "RS1"]
 
 
 def test_unresolved_input_named_after_every_warning(tmp_path):

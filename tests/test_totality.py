@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from tracegen.cli import cli
 
-from conftest import CONFIG_SCHEMA, DEFAULT_TTIM
+from conftest import CONFIG_SCHEMA, DEFAULT_TTIM, nested
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -46,6 +46,9 @@ JSON = [
     '"text"',
     "[1, 2",
     "null",
+    # a const at the 512-level nesting bound and an enum member one past it
+    json.dumps({"const": nested(511)}),
+    json.dumps({"enum": [0, nested(511)]}),
 ]
 INNER = [
     '<treqs-link type="scopes" target="AL" />',

@@ -14,8 +14,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 FRONT = {"cli.main", "elements.scan", "elements.parse", "graph.build", "schema.config_parse"}
 CHECKS = {"checks.metamodel", "checks.internal_schema", "checks.semantic_equivalence"}
-# the tracer counts collected records and the inputs they reach (r.uid)
-COLLECTED = {"traversal.records": 2, "traversal.inputs": 2}
+# the tracer counts the listed paths and pruned cycle edges, then the
+# collected records and the inputs they reach (r.uid)
+COLLECTED = {"traversal.paths": 2, "traversal.pruned_edges": 0,
+             "traversal.records": 2, "traversal.inputs": 2}
 
 
 @pytest.mark.parametrize(

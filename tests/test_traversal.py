@@ -10,7 +10,6 @@ from tracegen.errors import TracegenError
 from tracegen.graph import build_graph
 from tracegen.traversal import (
     collect_optimizer_inputs,
-    find_runtime_scenarios,
     summarize_traversal,
     traverse_from_scenario,
 )
@@ -55,20 +54,25 @@ class TestFindScenarios:
             [mk_element("RS2", "runtime-scenario"), mk_element("RS1", "runtime-scenario", line=2)],
             reverse_links=False,
         )
-        assert find_runtime_scenarios(graph, TTIM) == ["RS1", "RS2"]
+        assert summarize_traversal(graph, TTIM).scenarios == ["RS1", "RS2"]
 
     def test_no_scenarios(self):
         graph, _ = build_graph([mk_element("R1", "requirement")], reverse_links=False)
-        assert find_runtime_scenarios(graph, TTIM) == []
+        assert summarize_traversal(graph, TTIM).scenarios == []
 
     def test_exact_type_name_match(self):
         graph, _ = build_graph([mk_element("X", "runtime_scenario")], reverse_links=False)
-        assert find_runtime_scenarios(graph, TTIM) == []
+        assert summarize_traversal(graph, TTIM).scenarios == []
+
+
+def listed(graph, scenario="RS1"):
+    """The scenario's paths as `generate --format yaml` lists them."""
+    return traverse_from_scenario(summarize_traversal(graph, TTIM), scenario)
 
 
 class TestTraverse:
     def test_two_branches(self):
-        result = traverse_from_scenario(fig_graph(), TTIM, "RS1")
+        result = listed(fig_graph())
         assert len(result.paths) == 2
         assert {p.nodes[0] for p in result.paths} == {"OI_ETH", "OI_MODEL"}
         for path in result.paths:
@@ -76,22 +80,18 @@ class TestTraverse:
             assert len(path.link_types) == len(path.nodes) - 1
 
     def test_schema_link_excluded_from_paths(self):
-        result = traverse_from_scenario(fig_graph(), TTIM, "RS1")
+        result = listed(fig_graph())
         for path in result.paths:
             assert "describedBy" not in path.link_types
 
     def test_scenario_without_edges(self):
         graph, _ = build_graph([mk_element("RS1", "runtime-scenario")], reverse_links=False)
-        assert traverse_from_scenario(graph, TTIM, "RS1").paths == []
-
-    def test_not_a_scenario(self):
-        with pytest.raises(TracegenError, match="'REQ_ETH' is not an element of type"):
-            traverse_from_scenario(fig_graph(), TTIM, "REQ_ETH")
+        assert listed(graph).paths == []
 
     def test_path_edges_exist_in_graph(self):
         graph = fig_graph()
         edge_set = set(graph.edges)
-        result = traverse_from_scenario(graph, TTIM, "RS1")
+        result = listed(graph)
         for path in result.paths:
             for i, link_type in enumerate(path.link_types):
                 assert (path.nodes[i + 1], link_type, path.nodes[i]) in edge_set
@@ -110,7 +110,7 @@ class TestTraverse:
             for e in elements
         ]
         graph, _ = build_graph(elements, reverse_links=False)
-        assert len(traverse_from_scenario(graph, TTIM, "RS1").paths) == 2
+        assert len(listed(graph).paths) == 2
         warnings = summarize_traversal(graph, TTIM).warnings("RS1")
         assert any("cycle edge" in d.message for d in warnings)
 
@@ -121,8 +121,8 @@ class TestTraverse:
 
     def test_determinism(self):
         graph = fig_graph()
-        first = traverse_from_scenario(graph, TTIM, "RS1")
-        second = traverse_from_scenario(graph, TTIM, "RS1")
+        first = listed(graph)
+        second = listed(graph)
         assert first.paths == second.paths
 
 
@@ -161,7 +161,7 @@ class TestOracleEquivalence:
         rng = random.Random(123)
         for _ in range(200):
             graph, types, scenario = random_dag(rng, rng.randint(2, 12), repeat=0.1)
-            result = traverse_from_scenario(graph, TTIM, scenario)
+            result = listed(graph, scenario)
             paths = [(tuple(reversed(p.nodes)), tuple(reversed(p.link_types)))
                      for p in result.paths]
             # the oracle returns a set, which would hide a path found twice
@@ -176,7 +176,7 @@ class TestOracleEquivalence:
 class TestCollect:
     def test_records_resolve_schema(self):
         graph = fig_graph()
-        results = [traverse_from_scenario(graph, TTIM, "RS1")]
+        results = [listed(graph)]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
         assert [r.uid for r in records] == ["OI_ETH", "OI_MODEL"]
@@ -220,7 +220,7 @@ class TestCollect:
             mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=6),
         ]
         graph, _ = build_graph(elements, reverse_links=False)
-        results = [traverse_from_scenario(graph, TTIM, uid) for uid in ("RS1", "RS2")]
+        results = [listed(graph, uid) for uid in ("RS1", "RS2")]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
         assert [r.uid for r in records] == ["OI1", "OI1"]
@@ -248,8 +248,8 @@ class TestCollect:
             mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=8),
         ]
         graph, _ = build_graph(elements, reverse_links=False)
-        scenarios = find_runtime_scenarios(graph, TTIM)
-        results = [traverse_from_scenario(graph, TTIM, uid) for uid in scenarios]
+        summary = summarize_traversal(graph, TTIM)
+        results = [traverse_from_scenario(summary, uid) for uid in summary.scenarios]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
         assert records == [path for result in results for path in result.paths]
@@ -280,7 +280,7 @@ class TestDeepChain:
             elements.append(mk_element(f"R{i:04d}", "requirement", links=links, line=3 + i))
         elements.append(mk_element("OI1", "OptimizerInput", line=depth + 3))
         graph, _ = build_graph(elements, reverse_links=False)
-        result = traverse_from_scenario(graph, TTIM, "RS1")
+        result = listed(graph)
         (path,) = result.paths
         assert len(path.nodes) == depth + 3
         assert path.nodes[0] == "OI1" and path.nodes[-1] == "RS1"
