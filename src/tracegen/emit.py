@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import io
 import re
+from itertools import zip_longest
 from typing import TYPE_CHECKING
 
 import yaml
@@ -18,20 +19,23 @@ if TYPE_CHECKING:
     from tracegen.checks import Resolution
 
 
+def _step(graph: TraceGraph, uid: str, link_type: str | None) -> dict:
+    """One entry of a record's trace; the last, the scenario, has no link."""
+    step = {"uid": uid, "type": graph.element_type(uid)}
+    return step if link_type is None else step | {"link_to_next": link_type}
+
+
 def _record_mapping(path: TracePath, graph: TraceGraph, resolution: Resolution) -> dict:
     """One record of the intermediary document: the input's element fields,
     its trace (input first) and its resolved schema and value."""
     element = graph.elements[path.uid]
-    trace = [{"uid": uid, "type": graph.element_type(uid)} for uid in path.nodes]
-    for entry, link_type in zip(trace, path.link_types):
-        entry["link_to_next"] = link_type
     return {
         "file_name": element.file,
         "label": element.label,
         "placement": element.placement,
         "treqs_type": element.element_type,
         "uid": path.uid,
-        "trace": trace,
+        "trace": [_step(graph, *step) for step in zip_longest(path.nodes, path.link_types)],
         "schema": resolution.schema,
         "value": resolution.value,
     }
@@ -114,12 +118,11 @@ def _entries(node):
     return ((None, item) for item in node) if type(node) is list else iter(sorted(node.items()))
 
 
-def dump_yaml(data, allow_unicode: bool) -> str:
-    """Block-style YAML with sorted keys and no aliases, as PyYAML's Python emitter
-    writes a non-empty dict or list of JSON values, at any depth (no recursion)."""
+def _block(data, allow_unicode: bool, indent: int, compact: bool) -> str:
+    """The entries of a non-empty dict or list of JSON values as PyYAML's Python emitter writes
+    them from `indent`, each on a new line (the first after a space if `compact`)."""
     out: list[str] = []
-    stack = [(_entries(data), 0)]
-    compact = False  # the next entry goes on the line of a "- " or of a "? key"'s ":"
+    stack = [(_entries(data), indent)]
     while stack:
         entries, indent = stack[-1]
         for key, value in entries:
@@ -134,12 +137,17 @@ def dump_yaml(data, allow_unicode: bool) -> str:
             if (kind is dict or kind is list) and value:
                 # a sequence under a simple key is not indented
                 stack.append((_entries(value), indent + 2 if indented or kind is dict else indent))
-                compact = indented
+                compact = indented  # the next entry goes on the line of a "- " or a "? key"'s ":"
                 break
             out.append(_leaf(value, allow_unicode, indent + len(head), indent + 2))
         else:
             stack.pop()
-    return "".join(out)[1:] + "\n"
+    return "".join(out)
+
+
+def dump_yaml(data, allow_unicode: bool) -> str:
+    """Block-style YAML of a non-empty dict or list of JSON values, at any depth."""
+    return _block(data, allow_unicode, 0, False)[1:] + "\n"
 
 
 def emit_yaml(
@@ -148,21 +156,33 @@ def emit_yaml(
     graph: TraceGraph,
     resolutions: dict[str, Resolution],
 ) -> str:
-    """Deterministic YAML with exactly two top-level keys: the config schema
-    echoed from the input and one record per trace path."""
-    data = {
-        "config_schema": config_schema,
-        "optimizer_inputs": [_record_mapping(p, graph, resolutions[p.uid]) for p in paths],
-    }
-    return dump_yaml(data, allow_unicode=True)
-
-
-_LINE_BREAKS = str.maketrans("\t\r\n", "   ")
+    """Deterministic YAML with exactly two top-level keys: the config schema echoed
+    from the input and one record per trace path. A record's fields but its trace depend
+    only on its input, and a step only on its uid and link: each is written once."""
+    out = [dump_yaml({"config_schema": config_schema}, True),
+           "optimizer_inputs:" if paths else "optimizer_inputs: []"]
+    inputs: dict[str, tuple[str, str]] = {}  # the fields written before and after the trace
+    steps: dict[tuple[str, str | None], str] = {}
+    for path in paths:
+        if path.uid not in inputs:
+            record = _record_mapping(path, graph, resolutions[path.uid])
+            before = {key: value for key, value in record.items() if key < "trace"}
+            after = {key: value for key, value in record.items() if key > "trace"}
+            inputs[path.uid] = (_block([before], True, 0, False) + "\n  trace:",
+                                _block(after, True, 2, False))
+        head, tail = inputs[path.uid]
+        out.append(head)
+        for step in zip_longest(path.nodes, path.link_types):
+            if step not in steps:
+                steps[step] = _block([_step(graph, *step)], True, 2, False)
+            out.append(steps[step])
+        out.append(tail)
+    return "".join(out) + "\n"
 
 
 def one_line(text: str) -> str:
     """``text`` for a one-line display field: each tab, CR and LF becomes a space."""
-    return text.translate(_LINE_BREAKS)
+    return text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
 
 
 _ALIAS_UNSAFE = re.compile(r"[^A-Za-z0-9]")

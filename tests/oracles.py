@@ -8,6 +8,7 @@ import yaml
 
 from tracegen.checks import CHECK_METAMODEL, _violation
 from tracegen.elements import RawElement, RawLink, SourceFile
+from tracegen.emit import _record_mapping
 from tracegen.errors import Diagnostic, TracegenError
 from tracegen.graph import TraceGraph
 from tracegen.traversal import DEFAULT_MAX_PATHS, ScenarioResult, TracePath
@@ -205,6 +206,25 @@ def untargeted_properties(pointers, placements):
         p for p in pointers
         if p != "" and not (p in placements or any(q.startswith(p + "/") for q in placements))
     ]
+
+
+class NoAliasDumper(yaml.SafeDumper):
+    def ignore_aliases(self, data):
+        return True
+
+
+def dump_reference(data, allow_unicode):
+    """PyYAML's pure-Python emitter with tracegen.emit.dump_yaml's settings."""
+    return yaml.dump(data, Dumper=NoAliasDumper, sort_keys=True, default_flow_style=False,
+                     allow_unicode=allow_unicode)
+
+
+def intermediary_reference(config_schema, paths, graph, resolutions):
+    """The whole intermediary document as PyYAML's Python emitter writes it:
+    one full record mapping per trace path, with nothing written once and
+    shared."""
+    records = [_record_mapping(path, graph, resolutions[path.uid]) for path in paths]
+    return dump_reference({"config_schema": config_schema, "optimizer_inputs": records}, True)
 
 
 def load_intermediary(text):

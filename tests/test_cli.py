@@ -7,12 +7,12 @@ from click.testing import CliRunner
 
 from tracegen.cli import cli
 
-from tracegen import checks, emit
+from tracegen import checks
 
 from conftest import (
     CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, nested, repo_files, write_repo,
 )
-from test_emit import dump_reference
+from oracles import intermediary_reference
 
 
 def run(*args):
@@ -451,7 +451,7 @@ class TestGenerate:
         reference runs under a higher recursion limit."""
         written = run("generate", repo, "--config-schema", config_path, "--format", "yaml")
         assert written.exit_code == 0, written.stderr
-        monkeypatch.setattr(emit, "dump_yaml", dump_reference)
+        monkeypatch.setattr("tracegen.cli.emit_yaml", intermediary_reference)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10_000)
         try:

@@ -7,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracegen import emit
-from tracegen.checks import CheckReport, report_to_yaml, resolve_optimizer_inputs, run_all_checks
-from tracegen.emit import dump_yaml, emit_plantuml, emit_yaml
+from tracegen.checks import (
+    CheckReport, Resolution, report_to_yaml, resolve_optimizer_inputs, run_all_checks,
+)
+from tracegen.emit import dump_yaml, emit_plantuml, emit_yaml, one_line
 from tracegen.errors import Diagnostic
-from tracegen.traversal import collect_optimizer_inputs, summarize_traversal
+from tracegen.graph import TraceGraph
+from tracegen.traversal import TracePath, collect_optimizer_inputs, summarize_traversal
 from tracegen.ttim import default_extended_framework
 
-from oracles import expected_records, load_intermediary
-from test_traversal import fig_graph, listed
+from conftest import mk_element
+from oracles import dump_reference, expected_records, intermediary_reference, load_intermediary
+from test_traversal import diamond_graph, fig_graph, listed
 
 TTIM = default_extended_framework()
 
@@ -80,17 +84,6 @@ class TestYaml:
 
     def test_byte_identical_across_runs(self):
         assert emit_yaml(CONFIG, *fig_document()) == emit_yaml(CONFIG, *fig_document())
-
-
-class NoAliasDumper(yaml.SafeDumper):
-    def ignore_aliases(self, data):
-        return True
-
-
-def dump_reference(data, allow_unicode):
-    """The oracle: PyYAML's pure-Python emitter with dump_yaml's settings."""
-    return yaml.dump(data, Dumper=NoAliasDumper, sort_keys=True, default_flow_style=False,
-                     allow_unicode=allow_unicode)
 
 
 ASCII = [chr(c) for c in range(0x20, 0x7F)]
@@ -264,22 +257,98 @@ class TestDumpYaml:
         assert "\n    it''s #1, it''s" in text  # and folded
         assert calls == []
 
-    def test_fixture_document_written_like_python_emitter(self, monkeypatch):
+    def test_fixture_document_written_like_python_emitter(self):
         doc = fig_document()
-        expected = emit_yaml(CONFIG, *doc)
-        monkeypatch.setattr(emit, "dump_yaml", dump_reference)
-        assert emit_yaml(CONFIG, *doc) == expected
+        assert emit_yaml(CONFIG, *doc) == intermediary_reference(CONFIG, *doc)
 
     @pytest.mark.parametrize("writer", [True, False])
-    def test_shared_dict_written_without_aliases(self, monkeypatch, writer):
-        if not writer:
-            monkeypatch.setattr(emit, "dump_yaml", dump_reference)
+    def test_shared_dict_written_without_aliases(self, writer):
         paths, graph, resolutions = fig_document()
         shared = {"type": "number"}
         resolutions = {uid: dataclasses.replace(r, schema=shared) for uid, r in resolutions.items()}
-        text = emit_yaml(CONFIG, paths, graph, resolutions)
+        text = (emit_yaml if writer else intermediary_reference)(CONFIG, paths, graph, resolutions)
         assert "&id" not in text and "*id" not in text
         assert text.count("type: number") >= 2
+
+
+def random_intermediary(rng):
+    """An intermediary document's inputs where inputs recur across paths and
+    scenarios and paths share steps: (config_schema, paths, graph, resolutions)."""
+    alphabet = rng.choice([ASCII, ASCII + BMP, ASCII + BMP + SPECIAL])
+
+    def text(max_len):
+        return random_string(rng, alphabet, max_len)
+
+    def label():
+        # long enough, at times, to fold past column 80 after "  label: "
+        kind = rng.randrange(4)
+        if kind == 0:
+            return None
+        if kind == 1:
+            return " ".join(text(12) for _ in range(rng.randint(6, 14)))
+        return text(rng.choice([10, 40, 130]))
+
+    uids = list(dict.fromkeys(text(rng.choice([4, 20])) for _ in range(rng.randint(3, 12))))
+    types, links = [text(12) for _ in range(3)], [text(12) for _ in range(3)]
+    elements = {
+        uid: mk_element(uid, rng.choice(types), label=label(),
+                        placement=rng.choice([None, text(60)]), file=text(rng.choice([8, 90])))
+        for uid in uids
+    }
+    inputs = rng.sample(uids, rng.randint(1, min(3, len(uids))))
+    resolutions = {
+        uid: Resolution((), schema=random_document(rng, alphabet),
+                        value=random_document(rng, alphabet))
+        for uid in inputs
+    }
+    paths = []
+    for _ in range(rng.choice([0, rng.randint(1, 12)])):
+        nodes = [rng.choice(inputs)] + rng.sample(uids, rng.randint(0, min(4, len(uids))))
+        paths.append(TracePath(tuple(nodes), tuple(rng.choice(links) for _ in nodes[1:])))
+    config_schema = rng.choice(
+        [{}, {"type": "object", "properties": random_document(rng, alphabet)}])
+    graph = TraceGraph(elements=elements, edges=(), by_type={})
+    return config_schema, paths, graph, resolutions
+
+
+class TestSharedRecords:
+    def test_same_bytes_as_python_emitter(self):
+        rng = random.Random(20261019)
+        shapes = set()
+        for _ in range(300):
+            doc = random_intermediary(rng)
+            assert emit_yaml(*doc) == intermediary_reference(*doc), doc
+            config_schema, paths, _, _ = doc
+            shapes.add((bool(paths), bool(config_schema), len(paths) > len({p.uid for p in paths})))
+        # with and without paths, an empty config schema, and recurring inputs
+        assert shapes >= {(False, False, False), (True, False, True), (True, True, True)}
+
+    def test_each_input_mapped_once(self, monkeypatch):
+        graph = diamond_graph()
+        paths = collect_optimizer_inputs([listed(graph, uid) for uid in ("RS1", "RS2")])
+        resolutions = resolve_optimizer_inputs(graph, TTIM)
+        calls = []
+        real = emit._record_mapping
+        monkeypatch.setattr(emit, "_record_mapping",
+                            lambda path, *args: calls.append(path.uid) or real(path, *args))
+        text = emit_yaml(CONFIG, paths, graph, resolutions)
+        assert [path.uid for path in paths] == ["OI1", "OI1"]
+        assert calls == ["OI1"]
+        assert text == intermediary_reference(CONFIG, paths, graph, resolutions)
+
+
+class TestOneLine:
+    def test_only_tab_cr_and_lf_become_spaces(self):
+        assert one_line("a\tb\rc\nd\r\n") == "a b c d  "
+        kept = "\x0b\x0c\x85\xa0\u2028\u2029"
+        assert one_line(kept) == kept
+
+    def test_same_as_a_translation_table(self):
+        rng = random.Random(7)
+        table = str.maketrans("\t\r\n", "   ")
+        for _ in range(500):
+            text = random_string(rng, ASCII + BMP + SPECIAL + ["\x0b", "\x0c"], 80)
+            assert one_line(text) == text.translate(table)
 
 
 class TestPlantuml:

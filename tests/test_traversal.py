@@ -65,6 +65,20 @@ class TestFindScenarios:
         assert summarize_traversal(graph, TTIM).scenarios == []
 
 
+def diamond_graph():
+    """Two scenarios reaching the same optimizer input through one level."""
+    elements = [
+        mk_element("RS1", "runtime-scenario", links=[("scopes", "AL1")]),
+        mk_element("RS2", "runtime-scenario", links=[("scopes", "AL1")], line=2),
+        mk_element("AL1", "abstraction-level", links=[("contains", "REQ1")], line=3),
+        mk_element("REQ1", "requirement", links=[("realizes", "OI1")], line=4),
+        mk_element("OI1", "OptimizerInput", links=[("describedBy", "ST1")],
+                   body=schema_body(1), line=5),
+        mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=6),
+    ]
+    return build_graph(elements, reverse_links=False)[0]
+
+
 def listed(graph, scenario="RS1"):
     """The scenario's paths as `generate --format yaml` lists them."""
     return traverse_from_scenario(summarize_traversal(graph, TTIM), scenario)
@@ -209,17 +223,7 @@ class TestCollect:
                 resolve_optimizer_inputs(graph, TTIM))
 
     def test_diamond_yields_two_records_for_one_input(self):
-        # two scenarios reaching the same optimizer input
-        elements = [
-            mk_element("RS1", "runtime-scenario", links=[("scopes", "AL1")]),
-            mk_element("RS2", "runtime-scenario", links=[("scopes", "AL1")], line=2),
-            mk_element("AL1", "abstraction-level", links=[("contains", "REQ1")], line=3),
-            mk_element("REQ1", "requirement", links=[("realizes", "OI1")], line=4),
-            mk_element("OI1", "OptimizerInput", links=[("describedBy", "ST1")],
-                       body=schema_body(1), line=5),
-            mk_element("ST1", "schema-type", body=schema_body({"type": "number"}), line=6),
-        ]
-        graph, _ = build_graph(elements, reverse_links=False)
+        graph = diamond_graph()
         results = [listed(graph, uid) for uid in ("RS1", "RS2")]
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
