@@ -25,9 +25,10 @@ def _step(graph: TraceGraph, uid: str, link_type: str | None) -> dict:
     return step if link_type is None else step | {"link_to_next": link_type}
 
 
-def _record_mapping(path: TracePath, graph: TraceGraph, resolution: Resolution) -> dict:
+def _record_mapping(path: TracePath, graph: TraceGraph, resolution: Resolution,
+                    trace: list) -> dict:
     """One record of the intermediary document: the input's element fields,
-    its trace (input first) and its resolved schema and value."""
+    the given trace (its `_step`s, input first) and its resolved schema and value."""
     element = graph.elements[path.uid]
     return {
         "file_name": element.file,
@@ -35,7 +36,7 @@ def _record_mapping(path: TracePath, graph: TraceGraph, resolution: Resolution) 
         "placement": element.placement,
         "treqs_type": element.element_type,
         "uid": path.uid,
-        "trace": [_step(graph, *step) for step in zip_longest(path.nodes, path.link_types)],
+        "trace": trace,
         "schema": resolution.schema,
         "value": resolution.value,
     }
@@ -118,11 +119,11 @@ def _entries(node):
     return ((None, item) for item in node) if type(node) is list else iter(sorted(node.items()))
 
 
-def _block(data, allow_unicode: bool, indent: int, compact: bool) -> str:
-    """The entries of a non-empty dict or list of JSON values as PyYAML's Python emitter writes
-    them from `indent`, each on a new line (the first after a space if `compact`)."""
+def _block(data, allow_unicode: bool, indent: int) -> str:
+    """The entries of a non-empty dict or list of JSON values as PyYAML's Python emitter
+    writes them from `indent`, each on a new line, with sorted keys and no aliases."""
     out: list[str] = []
-    stack = [(_entries(data), indent)]
+    stack, compact = [(_entries(data), indent)], False
     while stack:
         entries, indent = stack[-1]
         for key, value in entries:
@@ -147,7 +148,7 @@ def _block(data, allow_unicode: bool, indent: int, compact: bool) -> str:
 
 def dump_yaml(data, allow_unicode: bool) -> str:
     """Block-style YAML of a non-empty dict or list of JSON values, at any depth."""
-    return _block(data, allow_unicode, 0, False)[1:] + "\n"
+    return _block(data, allow_unicode, 0)[1:] + "\n"
 
 
 def emit_yaml(
@@ -165,16 +166,15 @@ def emit_yaml(
     steps: dict[tuple[str, str | None], str] = {}
     for path in paths:
         if path.uid not in inputs:
-            record = _record_mapping(path, graph, resolutions[path.uid])
+            record = _record_mapping(path, graph, resolutions[path.uid], [])
             before = {key: value for key, value in record.items() if key < "trace"}
             after = {key: value for key, value in record.items() if key > "trace"}
-            inputs[path.uid] = (_block([before], True, 0, False) + "\n  trace:",
-                                _block(after, True, 2, False))
+            inputs[path.uid] = (_block([before], True, 0) + "\n  trace:", _block(after, True, 2))
         head, tail = inputs[path.uid]
         out.append(head)
         for step in zip_longest(path.nodes, path.link_types):
             if step not in steps:
-                steps[step] = _block([_step(graph, *step)], True, 2, False)
+                steps[step] = _block([_step(graph, *step)], True, 2)
             out.append(steps[step])
         out.append(tail)
     return "".join(out) + "\n"

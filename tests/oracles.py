@@ -3,12 +3,13 @@ from the implementations they double-check."""
 
 import re
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import yaml
 
 from tracegen.checks import CHECK_METAMODEL, _violation
 from tracegen.elements import RawElement, RawLink, SourceFile
-from tracegen.emit import _record_mapping
+from tracegen.emit import _record_mapping, _step
 from tracegen.errors import Diagnostic, TracegenError
 from tracegen.graph import TraceGraph
 from tracegen.traversal import DEFAULT_MAX_PATHS, ScenarioResult, TracePath
@@ -219,11 +220,17 @@ def dump_reference(data, allow_unicode):
                      allow_unicode=allow_unicode)
 
 
+def record_reference(path, graph, resolution):
+    """One record's mapping with its whole trace: a step per node, input first."""
+    trace = [_step(graph, *step) for step in zip_longest(path.nodes, path.link_types)]
+    return _record_mapping(path, graph, resolution, trace)
+
+
 def intermediary_reference(config_schema, paths, graph, resolutions):
     """The whole intermediary document as PyYAML's Python emitter writes it:
     one full record mapping per trace path, with nothing written once and
     shared."""
-    records = [_record_mapping(path, graph, resolutions[path.uid]) for path in paths]
+    records = [record_reference(path, graph, resolutions[path.uid]) for path in paths]
     return dump_reference({"config_schema": config_schema, "optimizer_inputs": records}, True)
 
 

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from tracegen.checks import CHECK_INTERNAL_SCHEMA, resolve_optimizer_inputs
-from tracegen.emit import _record_mapping, emit_yaml
+from tracegen.emit import emit_yaml
 from tracegen.errors import TracegenError
 from tracegen.graph import build_graph
 from tracegen.traversal import (
@@ -16,7 +16,7 @@ from tracegen.traversal import (
 from tracegen.ttim import default_extended_framework
 
 from conftest import mk_element
-from oracles import brute_force_paths
+from oracles import brute_force_paths, record_reference
 
 TTIM = default_extended_framework()
 
@@ -194,7 +194,7 @@ class TestCollect:
         resolutions = resolve_optimizer_inputs(graph, TTIM)
         records = collect_optimizer_inputs(results)
         assert [r.uid for r in records] == ["OI_ETH", "OI_MODEL"]
-        record = _record_mapping(records[0], graph, resolutions["OI_ETH"])
+        record = record_reference(records[0], graph, resolutions["OI_ETH"])
         assert record["schema"] == {"type": "number"}
         assert record["value"] == 20
         assert record["trace"][0] == {
@@ -231,7 +231,7 @@ class TestCollect:
         assert records[0].nodes[-1] == "RS1"
         assert records[1].nodes[-1] == "RS2"
         # both records share the one resolved schema and value
-        first, second = (_record_mapping(r, graph, resolutions[r.uid]) for r in records)
+        first, second = (record_reference(r, graph, resolutions[r.uid]) for r in records)
         assert first["schema"] is second["schema"]
 
     def test_document_order_is_scenario_then_path_order(self):
