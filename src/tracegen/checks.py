@@ -14,6 +14,7 @@ from tracegen.schema import (
     SchemaDoc,
     canonical_text,
     collect_property_paths,
+    equivalent,
     parse_schema,
     resolve_pointer,
     validate_instance,
@@ -190,57 +191,33 @@ def check_semantic_equivalence(
     graph: TraceGraph, config_schema: SchemaDoc, resolutions: dict[str, Resolution]
 ) -> list[Diagnostic]:
     """Check 3: each optimizer input's schema matches the configuration-schema
-    subschema at its placement pointer.
-
-    Each placement's canonical text is built once, and so is each schema's:
-    the inputs that link to one schema-type share its schema object.
+    subschema at its placement pointer, by ``equivalent``. Canonical texts are
+    written only for the two sides of a mismatch, for its message.
     """
     out: list[Diagnostic] = []
     placements: set[str] = set()
-    config_texts: dict[str, str] = {}  # placement -> canonical text
-    schema_texts: dict[int, str] = {}  # id of a shared schema -> canonical text
+
+    def violation(severity: str, uid: str, message: str) -> None:
+        out.append(_violation(CHECK_SEMANTIC_EQUIVALENCE, severity, graph, uid, message))
+
     for oi_uid, resolution in resolutions.items():
         element = graph.elements[oi_uid]
         if element.placement is None:
-            out.append(
-                _violation(
-                    CHECK_SEMANTIC_EQUIVALENCE,
-                    "warning",
-                    graph,
-                    oi_uid,
-                    "optimizer input has no placement pointer",
-                )
-            )
+            violation("warning", oi_uid, "optimizer input has no placement pointer")
             continue
         placements.add(element.placement)
         try:
             config_sub = resolve_pointer(config_schema, element.placement)
         except PointerUnresolvable as exc:
-            out.append(
-                _violation(CHECK_SEMANTIC_EQUIVALENCE, "error", graph, oi_uid, str(exc))
-            )
+            violation("error", oi_uid, str(exc))
             continue
         oi_schema = resolution.schema
         if oi_schema is None:
             continue  # checks 1/2 own that failure
-        if element.placement not in config_texts:
-            config_texts[element.placement] = canonical_text(config_sub)
-        if id(oi_schema) not in schema_texts:
-            schema_texts[id(oi_schema)] = canonical_text(oi_schema)
-        config_text = config_texts[element.placement]
-        oi_text = schema_texts[id(oi_schema)]
-        if config_text != oi_text:
-            out.append(
-                _violation(
-                    CHECK_SEMANTIC_EQUIVALENCE,
-                    "error",
-                    graph,
-                    oi_uid,
-                    "schema mismatch at placement "
-                    f"{element.placement}: configuration has {config_text} "
-                    f"but requirement has {oi_text}",
-                )
-            )
+        if not equivalent(config_sub, oi_schema):
+            violation("error", oi_uid, f"schema mismatch at placement {element.placement}: "
+                      f"configuration has {canonical_text(config_sub)} "
+                      f"but requirement has {canonical_text(oi_schema)}")
     # placements under pointer + "/" sort together: test the first at or after it
     ordered = sorted(placements)
     for pointer in collect_property_paths(config_schema):

@@ -219,10 +219,17 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
 
 def first_json_fence(element: RawElement) -> tuple[str | None, bool]:
     """The text of the first fenced JSON block in the element body (None when
-    there is none) and whether a second block follows, from one scan."""
-    fences = _FENCE_RE.finditer(element.body)
-    first = next(fences, None)
-    return (first.group(1) if first else None), next(fences, None) is not None
+    there is none) and whether a second block follows, from one scan. A fence
+    starts at a "```", so the pattern is tried only there (``^`` still holds)."""
+    body, first, pos = element.body, None, 0
+    while (pos := body.find("```", pos)) != -1:
+        if (match := _FENCE_RE.match(body, pos)) is None:
+            pos += 1
+        elif first is not None:
+            return first, True
+        else:
+            first, pos = match.group(1), match.end()
+    return first, False
 
 
 MAX_NESTING = 512  # RFC 8259 section 9 allows a bound; every walk of a value takes this
@@ -235,8 +242,9 @@ def parse_json(text: str):
     range, an integer past int()'s digit limit, arrays and objects nested more
     than MAX_NESTING deep."""
     try:
-        value = json.loads(text, parse_float=_finite_float, parse_constant=_reject_constant,
-                           object_pairs_hook=_shared_strings)
+        if text.startswith("\ufeff"):  # json.loads makes this check, JSONDecoder.decode does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        value = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InvalidJson(exc.msg) from exc  # the cause keeps the line and column
     except (ValueError, RecursionError) as exc:  # recursion fails only past the bound
@@ -270,3 +278,8 @@ def _finite_float(literal: str) -> float:
 def _reject_constant(name: str):
     # json.loads accepts NaN and +/-Infinity; RFC 8259 JSON does not
     raise InvalidJson(f"{name} is not a JSON value")
+
+
+# json.loads(text, <these hooks>) would build a new decoder on every call
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant,
+                            object_pairs_hook=_shared_strings)

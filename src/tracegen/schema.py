@@ -37,6 +37,7 @@ ALLOWED_TYPES = {"object", "array", "string", "number", "integer", "boolean", "n
 # "unit" carries constraint semantics for the domain (e.g. milliseconds), so it
 # survives canonicalization and participates in equivalence. "description" does not.
 ANNOTATION_KEYWORDS = {"description"}
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True), built once
 
 # RFC 6901, matched whole: "" or "/"-led text in which every "~" starts "~0" or "~1"
 _POINTER_RE = re.compile(r"(?:/[^~]*(?:~[01][^~]*)*)?")
@@ -252,7 +253,7 @@ def canonicalize(schema: SchemaDoc) -> SchemaDoc:
         elif key == "required":
             out[key] = sorted(value)
         elif key == "enum":
-            out[key] = sorted(map(_by_value, value), key=lambda m: json.dumps(m, sort_keys=True))
+            out[key] = sorted(map(_by_value, value), key=_ENCODER.encode)
         else:
             out[key] = _by_value(value)
     return out
@@ -268,8 +269,41 @@ def _by_value(value: Any) -> Any:
 
 
 def canonical_text(schema: SchemaDoc) -> str:
-    """Two schemas are equivalent when their canonical texts are equal."""
-    return json.dumps(canonicalize(schema), sort_keys=True)
+    """The canonical JSON text of a schema: check 3 prints it for both sides
+    of a mismatch. ``equivalent`` decides equality of these texts."""
+    return _ENCODER.encode(canonicalize(schema))
+
+
+def equivalent(a: SchemaDoc, b: SchemaDoc) -> bool:
+    """``canonical_text(a) == canonical_text(b)``, without writing either text.
+    Pairs of subschemas wait on an explicit stack, as in ``json_equal``."""
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        keys = a.keys() - ANNOTATION_KEYWORDS
+        if keys != b.keys() - ANNOTATION_KEYWORDS:
+            return False
+        for key in keys:
+            x, y = a[key], b[key]
+            if key == "properties":
+                if x.keys() != y.keys():
+                    return False
+                pending.extend((x[name], y[name]) for name in x)
+            elif key == "items":
+                pending.append((x, y))
+            elif key == "required":
+                if sorted(x) != sorted(y):
+                    return False
+            elif key == "enum":
+                if _enum_texts(x) != _enum_texts(y):
+                    return False
+            elif not json_equal(x, y):
+                return False
+    return True
+
+
+def _enum_texts(members: list) -> list[str]:
+    return sorted(_ENCODER.encode(_by_value(member)) for member in members)
 
 
 def collect_property_paths(schema: SchemaDoc) -> list[str]:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles; intentionally naive and kept separate
 from the implementations they double-check."""
 
+import json
 import re
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -8,9 +9,10 @@ from itertools import zip_longest
 import yaml
 
 from tracegen.checks import CHECK_METAMODEL, _violation
-from tracegen.elements import RawElement, RawLink, SourceFile
+from tracegen import elements as _elements
+from tracegen.elements import MAX_NESTING, RawElement, RawLink, SourceFile
 from tracegen.emit import _record_mapping, _step
-from tracegen.errors import Diagnostic, TracegenError
+from tracegen.errors import Diagnostic, InvalidJson, TracegenError
 from tracegen.graph import TraceGraph
 from tracegen.traversal import DEFAULT_MAX_PATHS, ScenarioResult, TracePath
 from tracegen.ttim import TtimDefinition
@@ -395,6 +397,45 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
     elements.sort(key=lambda e: e.line)
     return elements, diagnostics
 
+
+
+# The fence search as it was before it started the pattern only at a "```":
+# ^-anchored finditer, tried at every offset. Kept verbatim as the reference
+# for tracegen.elements.first_json_fence.
+_FENCE_RE = re.compile(
+    r"^```(?:json)?[ \t]*\r?\n(.*?)^```[ \t]*$", re.MULTILINE | re.DOTALL
+)
+
+
+def first_json_fence(element: RawElement) -> tuple[str | None, bool]:
+    fences = _FENCE_RE.finditer(element.body)
+    first = next(fences, None)
+    return (first.group(1) if first else None), next(fences, None) is not None
+
+
+# parse_json as it was while json.loads, given the same hooks, built a new
+# decoder on every call: the reference for tracegen.elements.parse_json.
+_TOO_DEEP = f"arrays and objects nested more than {MAX_NESTING} deep"
+
+
+def parse_json(text: str):
+    try:
+        value = json.loads(text, parse_float=_elements._finite_float,
+                           parse_constant=_elements._reject_constant,
+                           object_pairs_hook=_elements._shared_strings)
+    except json.JSONDecodeError as exc:
+        raise InvalidJson(exc.msg) from exc
+    except (ValueError, RecursionError) as exc:
+        raise InvalidJson(_TOO_DEEP if type(exc) is RecursionError else str(exc)) from exc
+    if len(text) > 2 * MAX_NESTING and text.count("[") + text.count("{") > MAX_NESTING:
+        level = [value] if type(value) in (list, dict) else []
+        for _ in range(MAX_NESTING):
+            level = [inner for outer in level
+                     for inner in (outer.values() if type(outer) is dict else outer)
+                     if type(inner) is dict or type(inner) is list]
+        if level:
+            raise InvalidJson(_TOO_DEEP)
+    return value
 
 def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list[Diagnostic]:
     """Check 1 as it was before it walked the type index: every uid sorted,

@@ -135,6 +135,15 @@ class TestCheck:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.stderr == f"fatal: config schema is not valid JSON: {message}\n"
 
+    def test_bom_led_config_schema_exit_2(self, tmp_path, fig_repo):
+        repo, schema = fig_repo
+        bom = tmp_path / "bom.json"
+        bom.write_text("\ufeff" + schema.read_text(encoding="utf-8"), encoding="utf-8")
+        result = run("check", repo, "--config-schema", bom)
+        assert result.exit_code == 2
+        assert result.stderr == ("fatal: config schema is not valid JSON: Unexpected UTF-8 BOM "
+                                 "(decode using utf-8-sig): line 1 column 1 (char 0)\n")
+
     def test_non_utf8_config_schema_exit_2(self, tmp_path, fig_repo):
         repo, _ = fig_repo
         bad = tmp_path / "bad.json"
@@ -347,15 +356,20 @@ class TestCheck:
                   if v["severity"] == "error"]
         assert errors == [error]
 
-    def test_canonical_text_once_per_schema_and_placement(self, tmp_path, monkeypatch):
-        repo, schema = shared_schema_repo(tmp_path, json.dumps(ETH_SCHEMA))
+    def test_canonical_text_written_only_for_mismatches(self, tmp_path, monkeypatch):
         texts = []
         real = checks.canonical_text
         monkeypatch.setattr(checks, "canonical_text", lambda s: texts.append(s) or real(s))
+        repo, schema = shared_schema_repo(tmp_path / "pass", json.dumps(ETH_SCHEMA))
         result = run("check", repo, "--config-schema", schema)
-        assert result.exit_code == 0, result.stderr
-        # three placements and the one schema that OI_ETH, OI_MODEL and OI_X share
-        assert sorted(map(json.dumps, texts)) == [json.dumps(ETH_SCHEMA)] * 4
+        assert (result.exit_code, texts) == (0, []), result.stderr
+        # OI_ETH, OI_MODEL and OI_X share ST_ETH, and each placement differs from it
+        st_schema = {"type": "number", "minimum": 1, "description": "shared"}
+        repo, schema = shared_schema_repo(tmp_path / "fail", json.dumps(st_schema))
+        result = run("check", repo, "--config-schema", schema)
+        assert result.exit_code == 1
+        assert result.stderr.count("schema mismatch") == 3
+        assert texts == [ETH_SCHEMA, st_schema] * 3
 
     @pytest.mark.parametrize("depth", [350, 500])
     @pytest.mark.parametrize("keyword", ["const", "enum"])

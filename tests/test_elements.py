@@ -1,10 +1,16 @@
+import importlib.util
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
+from conftest import repo_files
 from tracegen.elements import (
     _TAG_RE,
+    RawElement,
     SourceFile,
     first_json_fence,
     parse_file,
@@ -277,6 +283,96 @@ class TestJsonBody:
     def test_finite_extremes_parse(self):
         assert parse_json("[1e-400, 1.7976931348623157e308, " + "1" * 400 + "]") == [
             0.0, 1.7976931348623157e308, int("1" * 400)]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\ufeff{}", "", "[1,", "{} x", "NaN", "-Infinity", "1e400", "[" * 600 + "]" * 600,
+         "1" * 5000, '{"a": [1, 2.5e3, "x", null], "b": {}}'],
+        ids=["bom", "empty", "unfinished", "trailing", "nan", "minus-infinity", "1e400",
+             "600-levels", "5000-digit-int", "valid"],
+    )
+    def test_parse_json_matches_json_loads(self, text):
+        assert json_outcome(parse_json, text) == json_outcome(oracles.parse_json, text)
+
+    def test_bom_keeps_the_json_loads_message(self):
+        assert json_outcome(parse_json, "\ufeff{}") == (
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", json.JSONDecodeError, 1, 1)
+
+
+def json_outcome(parse, text):
+    """The parsed value, or the InvalidJson message and its cause's type and position."""
+    try:
+        return parse(text)
+    except InvalidJson as exc:
+        cause = exc.__cause__
+        return str(exc), type(cause), getattr(cause, "lineno", None), getattr(cause, "colno", None)
+
+
+def fence_of(body):
+    return first_json_fence(RawElement("A", "t", None, None, body, (), "doc.md", 1))
+
+
+def reference_fence_of(body):
+    return oracles.first_json_fence(RawElement("A", "t", None, None, body, (), "doc.md", 1))
+
+
+def generated_bodies(root, workload):
+    """Every element body of a small perfbench/gen_repo.py repository."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_repo.py"
+    spec = importlib.util.spec_from_file_location("gen_repo", path)
+    gen_repo = sys.modules.setdefault("gen_repo", importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(gen_repo)  # its dataclasses look their module up by name
+    gen_repo.generate(workload, 3, root, scale=0.02)
+    files, _ = scan_repository(root / "repo")
+    return [element.body for file in files for element in parse_file(file)[0]]
+
+
+class TestFenceParity:
+    """first_json_fence starts the pattern only at a "```"; the reference
+    tries it at every offset."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "text ```json\n1\n```\n",
+            "```json\n1\nsee ``` here\n```",
+            "````json\n1\n````\n```json\n2\n```",
+            "````\n1\n```",
+            "```json  \t\n1\n``` \t\n",
+            "```json \t\r\n1\r\n```\t",
+            "```json\n1\n",
+            "```json\n{\nmore\n```json\n2\n```",
+            "```json\n1\n```\n```\n2\n```",
+            "```\n1\n```",
+            "```\n```",
+            "```",
+            "",
+        ],
+        ids=["mid-line", "mid-line-close", "four-backticks", "four-open-three-close",
+             "trailing-blanks", "trailing-blanks-crlf", "unclosed", "unclosed-then-fence",
+             "two-fences", "offset-0", "empty-fence", "lone-backticks", "empty"],
+    )
+    def test_matches_the_reference(self, body):
+        assert fence_of(body) == reference_fence_of(body)
+
+    def test_matches_the_reference_on_random_bodies(self):
+        rng = random.Random(16)
+        pieces = ["```", "`", "json", " ", "\t", "\n", "\r\n", "1", "x"]
+        for _ in range(3000):
+            body = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 24)))
+            assert fence_of(body) == reference_fence_of(body), body
+
+    def test_matches_the_reference_on_the_fixture(self):
+        bodies = [element.body for path, content in repo_files().items()
+                  for element in parse_file(src(content, path))[0]]
+        assert sum(fence_of(body)[0] is not None for body in bodies) == 4
+        assert [fence_of(b) for b in bodies] == [reference_fence_of(b) for b in bodies]
+
+    @pytest.mark.parametrize("workload", ["corpus-check", "fanout-yaml", "fanout-plantuml"])
+    def test_matches_the_reference_on_a_generated_repository(self, tmp_path, workload):
+        bodies = generated_bodies(tmp_path, workload)
+        assert any(fence_of(body)[0] is not None for body in bodies)
+        assert [fence_of(b) for b in bodies] == [reference_fence_of(b) for b in bodies]
 
 
 class TestScanRepository:

@@ -1,15 +1,19 @@
+import copy
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracegen.elements import MAX_NESTING
 from tracegen.errors import PointerUnresolvable, SchemaError
 from tracegen.schema import (
     canonical_text,
     canonicalize,
     collect_property_paths,
+    equivalent,
     is_valid_pointer,
     parse_schema,
     resolve_pointer,
@@ -191,6 +195,70 @@ class TestEquivalence:
     def test_constraint_difference_detected(self):
         assert canonical_text({"type": "number", "minimum": 0}) != canonical_text({"type": "number"})
 
+    @pytest.mark.parametrize(
+        "a, b, same",
+        [
+            ({"properties": {"a": {"type": "number", "description": "x"}}, "description": "p"},
+             {"properties": {"a": {"type": "number", "description": "y"}}}, True),
+            ({"properties": {"a": {"items": {"minimum": 1, "description": "x"}}}},
+             {"properties": {"a": {"items": {"minimum": 2, "description": "x"}}}}, False),
+            ({"properties": {"a": {}, "b": {}}, "required": ["a", "b"]},
+             {"properties": {"a": {}, "b": {}}, "required": ["b", "a"]}, True),
+            ({"enum": [1, "x", None, [2]]}, {"enum": [[2], None, 1, "x"]}, True),
+            ({"enum": [1, 1, 2]}, {"enum": [1, 2, 2]}, False),
+            ({"enum": [1, 2]}, {"enum": [1, 2, 2]}, False),
+            ({"required": ["a", "a", "b"]}, {"required": ["a", "b", "b"]}, False),
+            ({"minimum": 0}, {"minimum": 0.0}, True),
+            ({"minimum": 0}, {"minimum": -0.0}, True),
+            ({"const": [0.0]}, {"const": [-0.0]}, True),
+            ({"const": True}, {"const": 1}, False),
+            ({"enum": [True]}, {"enum": [1]}, False),
+            ({"const": {"a": False}}, {"const": {"a": 0}}, False),
+            ({"maximum": 2**53 + 1}, {"maximum": 2.0**53}, False),
+            ({"maximum": 2**53}, {"maximum": 2.0**53}, True),
+            ({"maximum": 1e22}, {"maximum": 10**22}, True),
+            ({"maximum": 1e23}, {"maximum": 10**23}, False),
+            ({"const": {"a": 1.0, "b": [2.0, {"c": 3.0}]}},
+             {"const": {"b": [2, {"c": 3}], "a": 1}}, True),
+            ({"enum": [{"a": 1.0}, {"a": 2}]}, {"enum": [{"a": 2.0}, {"a": 1}]}, True),
+            ({"enum": [{"a": 1.5}]}, {"enum": [{"a": 1}]}, False),
+            ({"properties": {"description": {"type": "string"}}}, {"properties": {}}, False),
+            ({"properties": {"description": {"type": "string"}}},
+             {"properties": {"description": {"type": "string", "description": "d"}}}, True),
+            ({"properties": {"a": {}}}, {"properties": {"b": {}}}, False),
+            ({"unit": "ms"}, {"unit": "s"}, False),
+            ({"items": {}}, {}, False),
+        ],
+        ids=["nested-description", "nested-minimum", "required-order", "enum-order",
+             "enum-duplicates", "enum-one-duplicate", "required-duplicates", "zero-float",
+             "negative-zero", "negative-zero-inside", "true-vs-1", "enum-true-vs-1",
+             "false-vs-0-inside", "2**53+1-vs-float", "2**53-vs-float", "1e22", "1e23",
+             "const-integral-floats", "enum-integral-floats", "enum-fraction",
+             "property-named-description", "property-named-description-annotated",
+             "property-renamed", "unit", "items-missing"],
+    )
+    def test_equivalent_is_canonical_text_equality(self, a, b, same):
+        assert (canonical_text(a) == canonical_text(b)) is same
+        assert equivalent(a, b) is same
+        assert equivalent(b, a) is same
+
+    def test_items_chain_max_nesting_deep(self):
+        def chain(leaf):
+            schema = {"type": "number", "minimum": leaf}
+            for _ in range(MAX_NESTING - 1):
+                schema = {"items": schema, "description": "level"}
+            return schema
+
+        a, b, c = chain(0), chain(0.0), chain(1)
+        expected = canonical_text(a) == canonical_text(b), canonical_text(a) == canonical_text(c)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            verdicts = equivalent(a, b), equivalent(a, c)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdicts == expected == (True, False)
+
 
 class TestCollectPropertyPaths:
     def test_two_top_level_properties(self):
@@ -327,3 +395,132 @@ class TestFuzz:
         for schema, _ in fuzz_pairs(300, seed=13):
             assert canonical_text(reordered(schema)) == canonical_text(schema)
             assert canonical_text(canonicalize(schema)) == canonical_text(schema)
+
+
+# ---------------------------------------------------------------------------
+# equivalent against canonical_text equality, on near-miss pairs
+# ---------------------------------------------------------------------------
+
+# numbers and booleans whose canonical texts tie (0, 0.0, -0.0) or only nearly do
+NUMBERS = [0, 0.0, -0.0, 1, 1.0, True, False, 2.5, -3, -3.0,
+           2**53 + 1, 2.0**53, 2**53, 1e22, 10**22, 1e23, 10**23]
+
+
+def equivalence_value(rng, depth):
+    if depth == 0 or rng.random() < 0.6:
+        return rng.choice(NUMBERS + ["", "x", None])
+    if rng.random() < 0.5:
+        return [equivalence_value(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    return {rng.choice("ab"): equivalence_value(rng, depth - 1) for _ in range(rng.randint(0, 2))}
+
+
+def equivalence_schema(rng, depth):
+    schema = {}
+    if rng.random() < 0.6:
+        schema["type"] = rng.choice(TYPES)
+    for keyword in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
+        if rng.random() < 0.2:
+            schema[keyword] = rng.choice(NUMBERS)
+    if rng.random() < 0.25:
+        schema["const"] = equivalence_value(rng, 2)
+    if rng.random() < 0.3:
+        schema["enum"] = [equivalence_value(rng, 2) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        schema["description"] = rng.choice("xy")
+    if rng.random() < 0.2:
+        schema["unit"] = rng.choice(["ms", "s"])
+    if depth > 0 and rng.random() < 0.5:
+        names = rng.sample(["a", "b", "description"], rng.randint(1, 3))
+        schema["properties"] = {name: equivalence_schema(rng, depth - 1) for name in names}
+        if rng.random() < 0.6:  # duplicates included
+            schema["required"] = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+    if depth > 0 and rng.random() < 0.3:
+        schema["items"] = equivalence_schema(rng, depth - 1)
+    return schema
+
+
+def subschemas(schema):
+    found, pending = [], [schema]
+    while pending:
+        node = pending.pop()
+        found.append(node)
+        pending.extend(node.get("properties", {}).values())
+        if "items" in node:
+            pending.append(node["items"])
+    return found
+
+
+def scalar_slots(value):
+    """(container, key) of each scalar inside a JSON value."""
+    found, pending = [], [value]
+    while pending:
+        node = pending.pop()
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            if isinstance(node[key], (dict, list)):
+                pending.append(node[key])
+            else:
+                found.append((node, key))
+    return found
+
+
+def edit(rng, node):
+    """One random change to a subschema; some leave its canonical text as it was."""
+    choice = rng.randrange(9)
+    if choice == 0:  # annotation only
+        if "description" in node and rng.random() < 0.5:
+            del node["description"]
+        else:
+            node["description"] = rng.choice("xyz")
+    elif choice == 1:  # key order only
+        items = list(node.items())
+        rng.shuffle(items)
+        node.clear()
+        node.update(items)
+    elif choice == 2 and node.get("required") or choice == 3 and node.get("enum"):
+        members = node["required" if choice == 2 else "enum"]
+        if rng.random() < 0.5:
+            rng.shuffle(members)  # order only
+        elif rng.random() < 0.5:
+            members.append(rng.choice(members))  # the set stays, the multiset changes
+        else:
+            members[rng.randrange(len(members))] = rng.choice(members)
+    elif choice == 4 and node.get("properties"):
+        name = rng.choice(list(node["properties"]))
+        node["properties"][name + "'" if rng.random() < 0.5 else "description"] = (
+            node["properties"].pop(name))
+    elif choice == 5:
+        keys = [key for key in node if key != "description"]
+        if keys:
+            del node[rng.choice(keys)]
+    elif choice == 6:
+        node[rng.choice(["minimum", "maximum", "unit", "type"])] = rng.choice(NUMBERS + ["ms"])
+    else:  # one scalar inside a constraint value
+        slots = []
+        for key in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum", "const", "enum"):
+            if isinstance(node.get(key), (dict, list)):
+                slots += scalar_slots(node[key])
+            elif key in node:
+                slots.append((node, key))
+        if slots:
+            container, key = rng.choice(slots)
+            container[key] = rng.choice(NUMBERS + ["x", None])
+
+
+def near_miss_pairs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = equivalence_schema(rng, 3)
+        b = copy.deepcopy(a)
+        for _ in range(rng.randint(1, 2)):
+            edit(rng, rng.choice(subschemas(b)))
+        yield (a, b) if rng.random() < 0.5 else (b, a)
+
+
+class TestEquivalentDifferential:
+    def test_equivalent_is_canonical_text_equality(self):
+        verdicts = {True: 0, False: 0}
+        for a, b in near_miss_pairs(2500, seed=16):
+            same = canonical_text(a) == canonical_text(b)
+            assert equivalent(a, b) is same, (a, b)
+            verdicts[same] += 1
+        assert min(verdicts.values()) >= 500, verdicts
