@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import json  # noqa: F401 (perfbench/tracer.py wraps cli.json.loads by name)
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -221,8 +222,8 @@ def cmd_generate(
         text = emit_plantuml(*summary.reached(summary.scenarios), graph, resolutions)
     if output_path:
         _write(output_path, text)
-    else:
-        click.echo(text, nl=False)
+    else:  # as bytes, so that click.echo neither strips ANSI sequences nor re-encodes
+        click.echo(text.encode("utf-8"), nl=False)
     sys.exit(EXIT_OK)
 
 
@@ -243,12 +244,25 @@ def cmd_list_scenarios(
         except TracegenError as exc:
             _fail(exc, EXIT_CHECK_FAILED)
         label = one_line(graph.elements[uid].label or "")
-        click.echo(f"{uid}\t{label}\t{count}")
+        click.echo(f"{uid}\t{label}\t{count}\n".encode("utf-8"), nl=False)
     sys.exit(EXIT_OK)
 
 
 def main() -> None:
-    cli()
+    """The console script: the collector stays off for the life of the process, which
+    skips the interpreter's teardown by leaving with os._exit once stdout and stderr are flushed."""
+    gc.disable()
+    try:
+        cli()
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise  # the interpreter writes the message and exits 1
+        try:
+            for stream in filter(None, (sys.stdout, sys.stderr)):
+                stream.flush()
+        except (OSError, ValueError):  # a closed pipe: end as the interpreter would
+            raise exc from None
+        os._exit(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -70,13 +70,6 @@ class RawElement(NamedTuple):
     line: int
 
 
-class _Frame(NamedTuple):
-    head: tuple | None  # RawElement's first four fields; None when the tag was malformed
-    line: int
-    body_parts: list[str]
-    links: list[RawLink]
-
-
 def scan_repository(
     root: str | Path, include_globs: tuple[str, ...] = DEFAULT_GLOBS
 ) -> tuple[list[SourceFile], list[Diagnostic]]:
@@ -171,13 +164,16 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
     content, path = file.content, file.path
     elements: list[RawElement] = []
     diagnostics: list[Diagnostic] = []
-    stack: list[_Frame] = []
+    # an open block: (RawElement's first four fields, or None when the tag was
+    # malformed; its line; its body's parts; its links)
+    stack: list[tuple] = []
+    new = tuple.__new__  # what the NamedTuples' own __new__ calls, without its frame
     line, counted, body_from = 1, 0, 0  # the line of offset `counted`
     for match in _TAG_RE.finditer(content):
         start = match.start()
         line += content.count("\n", counted, start)
         if stack:
-            stack[-1].body_parts.append(content[body_from:start])
+            stack[-1][2].append(content[body_from:start])
         counted, body_from = start, match.end()
         link_type, target, uid, element_type, label, placement, open_attrs, link_attrs = (
             match.groups())
@@ -191,7 +187,7 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
             elif placement is not None and not is_valid_pointer(placement):
                 problem = _BAD_PLACEMENT.format(placement)
             head = None if problem else (uid, element_type, label, placement)
-            stack.append(_Frame(head, line, [], []))
+            stack.append((head, line, [], []))
         elif link_type is not None or link_attrs is not None:
             if link_type is None:  # not the documented form
                 attrs, problem = _parse_attrs(link_attrs)
@@ -203,16 +199,16 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
                 if not stack:
                     severity, problem = "warning", "link outside any element block ignored"
                 else:  # a malformed block drops its links when it closes
-                    stack[-1].links.append(RawLink(link_type, target, line))
+                    stack[-1][3].append(new(RawLink, (link_type, target, line)))
         elif not stack:
             problem = "closing tag without matching opening tag"
-        elif (frame := stack.pop()).head is not None:
-            elements.append(RawElement(*frame.head, "".join(frame.body_parts),
-                                       tuple(frame.links), path, frame.line))
+        elif (frame := stack.pop())[0] is not None:
+            head, opened, parts, links = frame
+            elements.append(new(RawElement, (*head, "".join(parts), tuple(links), path, opened)))
         if problem:
             diagnostics.append(Diagnostic(severity, problem, path, line))
     for frame in stack:
-        diagnostics.append(Diagnostic("error", "unclosed element block", path, frame.line))
+        diagnostics.append(Diagnostic("error", "unclosed element block", path, frame[1]))
     elements.sort(key=lambda e: e.line)
     return elements, diagnostics
 

@@ -9,8 +9,6 @@ import re
 from itertools import zip_longest
 from typing import TYPE_CHECKING
 
-import yaml
-
 from tracegen.graph import Edge, TraceGraph
 from tracegen.schema import SchemaDoc
 from tracegen.traversal import TracePath
@@ -48,7 +46,12 @@ _QUOTABLE = {False: "[\x20-\x7e]*",
              True: "[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010fffe]*"}
 # Of those, the ones Emitter.analyze_scalar refuses as plain in block context.
 _NOT_PLAIN = r"---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%@`]|.*(?:: | #|[: ]\Z)"
-_IMPLICIT = yaml.SafeDumper.yaml_implicit_resolvers
+
+
+@functools.cache
+def _implicit() -> dict:  # PyYAML's resolvers by first character; it loads only for YAML
+    import yaml
+    return yaml.SafeDumper.yaml_implicit_resolvers
 
 
 @functools.lru_cache(maxsize=4096)
@@ -57,13 +60,14 @@ def _str_text(value: str, allow_unicode: bool) -> str | None:
     it; None where PyYAML would escape it or fold it at a line break."""
     if not re.fullmatch(_QUOTABLE[allow_unicode], value):
         return None
-    if re.match(_NOT_PLAIN, value) or any(r.match(value) for _, r in _IMPLICIT.get(value[:1], ())):
+    if re.match(_NOT_PLAIN, value) or any(r.match(value) for _, r in _implicit().get(value[:1], ())):
         return "'" + value.replace("'", "''") + "'"
     return value
 
 
 def _emitted(value: str, allow_unicode: bool, column: int, indent: int, simple_key: bool) -> str:
     """`value` as PyYAML's own scalar writer writes it from `column`, after a space."""
+    import yaml
     emitter = yaml.SafeDumper(io.StringIO(), allow_unicode=allow_unicode)
     emitter.column, emitter.indent, emitter.whitespace = column, indent, False
     emitter.simple_key_context = simple_key
@@ -185,16 +189,16 @@ def one_line(text: str) -> str:
     return text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
 
 
-_ALIAS_UNSAFE = re.compile(r"[^A-Za-z0-9]")
+_ALIAS_UNSAFE = re.compile(r"[^A-Za-z0-9\n]")
 
 
 def _aliases(uids: list[str]) -> dict[str, str]:
-    """Stable PlantUML-safe aliases for arbitrary uids."""
+    """Stable PlantUML-safe aliases for uids, which hold no whitespace."""
     aliases: dict[str, str] = {}
     used: set[str] = set()
-    for uid in uids:
-        base = "n_" + _ALIAS_UNSAFE.sub("_", uid)
-        alias = base
+    # one substitution over all uids, split back at the line breaks between them
+    for uid, base in zip(uids, _ALIAS_UNSAFE.sub("_", "\n".join(uids)).split("\n")):
+        alias = base = "n_" + base
         counter = 2
         while alias in used:
             alias = f"{base}_{counter}"
@@ -208,8 +212,8 @@ def emit_plantuml(
     nodes: set[str], edges: set[Edge], graph: TraceGraph, resolutions: dict[str, Resolution]
 ) -> str:
     """Component-diagram source: one node per uid on any trace, one labeled
-    arrow per distinct trace edge, and a legend of the optimizer inputs among
-    the nodes."""
+    arrow per distinct trace edge (``edges`` are some of ``graph.edges``, which
+    are sorted), and a legend of the optimizer inputs among the nodes."""
     uids = sorted(nodes)
     aliases = _aliases(uids)
     lines = ["@startuml"]
@@ -220,7 +224,7 @@ def emit_plantuml(
             parts.append(element.label)
         label = one_line("\\n".join(parts))
         lines.append(f'component "{label}" as {aliases[uid]}')
-    for source, link_type, target in sorted(edges):
+    for source, link_type, target in (edge for edge in graph.edges if edge in edges):
         lines.append(f"{aliases[source]} --> {aliases[target]} : {link_type}")
     lines.append("legend")
     for uid in (uid for uid in uids if uid in resolutions):

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from tracegen.errors import TracegenError
 
 
@@ -93,6 +91,7 @@ def load_ttim(path: str | Path) -> TtimDefinition:
 
 
 def parse_ttim(text: str) -> TtimDefinition:
+    import yaml  # only a --ttim file needs PyYAML
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

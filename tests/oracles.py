@@ -5,13 +5,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from typing import NamedTuple
 
 import yaml
 
 from tracegen.checks import CHECK_METAMODEL, _violation
 from tracegen import elements as _elements
 from tracegen.elements import MAX_NESTING, RawElement, RawLink, SourceFile
-from tracegen.emit import _record_mapping, _step
+from tracegen.emit import _record_mapping, _step, one_line
 from tracegen.errors import Diagnostic, InvalidJson, TracegenError
 from tracegen.graph import TraceGraph
 from tracegen.traversal import DEFAULT_MAX_PATHS, ScenarioResult, TracePath
@@ -398,6 +399,66 @@ def parse_file(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
     return elements, diagnostics
 
 
+# tracegen.elements.parse_file as it was before it built its records with
+# tuple.__new__: each record through its NamedTuple constructor, and each open
+# block as a _Frame NamedTuple. Kept verbatim, with the module's own tag
+# pattern and attribute helpers, as the reference for the records' types.
+class _NamedFrame(NamedTuple):
+    head: tuple | None  # RawElement's first four fields; None when the tag was malformed
+    line: int
+    body_parts: list[str]
+    links: list[RawLink]
+
+
+def parse_file_with_frames(file: SourceFile) -> tuple[list[RawElement], list[Diagnostic]]:
+    content, path = file.content, file.path
+    elements: list[RawElement] = []
+    diagnostics: list[Diagnostic] = []
+    stack: list[_NamedFrame] = []
+    line, counted, body_from = 1, 0, 0  # the line of offset `counted`
+    for match in _elements._TAG_RE.finditer(content):
+        start = match.start()
+        line += content.count("\n", counted, start)
+        if stack:
+            stack[-1].body_parts.append(content[body_from:start])
+        counted, body_from = start, match.end()
+        link_type, target, uid, element_type, label, placement, open_attrs, link_attrs = (
+            match.groups())
+        severity, problem = "error", None
+        if uid is not None or open_attrs is not None:
+            if uid is None:  # not the documented form
+                attrs, problem = _elements._validate_open(open_attrs)
+                if problem is None:
+                    uid, element_type = attrs["id"], attrs["type"]
+                    label, placement = attrs.get("label"), attrs.get("placement")
+            elif placement is not None and not _elements.is_valid_pointer(placement):
+                problem = _elements._BAD_PLACEMENT.format(placement)
+            head = None if problem else (uid, element_type, label, placement)
+            stack.append(_NamedFrame(head, line, [], []))
+        elif link_type is not None or link_attrs is not None:
+            if link_type is None:  # not the documented form
+                attrs, problem = _elements._parse_attrs(link_attrs)
+                if problem is None:
+                    link_type, target = attrs.get("type"), attrs.get("target")
+                    if not link_type or not target:
+                        problem = "link tag requires type and target attributes"
+            if problem is None:
+                if not stack:
+                    severity, problem = "warning", "link outside any element block ignored"
+                else:  # a malformed block drops its links when it closes
+                    stack[-1].links.append(RawLink(link_type, target, line))
+        elif not stack:
+            problem = "closing tag without matching opening tag"
+        elif (frame := stack.pop()).head is not None:
+            elements.append(RawElement(*frame.head, "".join(frame.body_parts),
+                                       tuple(frame.links), path, frame.line))
+        if problem:
+            diagnostics.append(Diagnostic(severity, problem, path, line))
+    for frame in stack:
+        diagnostics.append(Diagnostic("error", "unclosed element block", path, frame.line))
+    elements.sort(key=lambda e: e.line)
+    return elements, diagnostics
+
 
 # The fence search as it was before it started the pattern only at a "```":
 # ^-anchored finditer, tried at every offset. Kept verbatim as the reference
@@ -507,3 +568,50 @@ def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list
                     )
                 )
     return out
+
+
+# tracegen.emit's overview writer as it was before it walked graph.edges and
+# wrote the aliases from one substitution: it sorts the reached edges and
+# substitutes uid by uid. Kept verbatim as the reference for emit_plantuml.
+_ALIAS_UNSAFE = re.compile(r"[^A-Za-z0-9]")
+
+
+def aliases_reference(uids: list[str]) -> dict[str, str]:
+    """Stable PlantUML-safe aliases for arbitrary uids."""
+    aliases: dict[str, str] = {}
+    used: set[str] = set()
+    for uid in uids:
+        base = "n_" + _ALIAS_UNSAFE.sub("_", uid)
+        alias = base
+        counter = 2
+        while alias in used:
+            alias = f"{base}_{counter}"
+            counter += 1
+        used.add(alias)
+        aliases[uid] = alias
+    return aliases
+
+
+def plantuml_reference(nodes, edges, graph: TraceGraph, resolutions) -> str:
+    uids = sorted(nodes)
+    aliases = aliases_reference(uids)
+    lines = ["@startuml"]
+    for uid in uids:
+        element = graph.elements[uid]
+        parts = [uid, element.element_type]
+        if element.label:
+            parts.append(element.label)
+        label = one_line("\\n".join(parts))
+        lines.append(f'component "{label}" as {aliases[uid]}')
+    for source, link_type, target in sorted(edges):
+        lines.append(f"{aliases[source]} --> {aliases[target]} : {link_type}")
+    lines.append("legend")
+    for uid in (uid for uid in uids if uid in resolutions):
+        placement = graph.elements[uid].placement
+        if placement is None:
+            placement = "(no placement)"
+        type_kw = resolutions[uid].schema.get("type", "(untyped)")
+        lines.append(f"  {uid}: {one_line(placement)} ({type_kw})")
+    lines.append("endlegend")
+    lines.append("@enduml")
+    return "\n".join(lines) + "\n"
