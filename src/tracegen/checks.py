@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
 from tracegen.elements import RawElement, first_json_fence, parse_json
 from tracegen.emit import dump_yaml
 from tracegen.errors import Diagnostic, InvalidJson, PointerUnresolvable, SchemaError
-from tracegen.graph import TraceGraph, find_by_type
+from tracegen.graph import TraceGraph
 from tracegen.schema import (
     SchemaDoc,
     canonical_text,
@@ -38,15 +37,15 @@ def _violation(
     check_id: str,
     severity: str,
     graph: TraceGraph,
-    uid: str | None,
+    uid: str,
     message: str,
 ) -> Diagnostic:
-    element = graph.elements.get(uid) if uid else None
+    element = graph.elements[uid]
     return Diagnostic(
         severity=severity,
         message=message,
-        file=element.file if element else None,
-        line=element.line if element else None,
+        file=element.file,
+        line=element.line,
         check_id=check_id,
         subject_uid=uid,
     )
@@ -61,7 +60,7 @@ def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list
     def violation(uid: str, message: str) -> None:
         out.append(_violation(CHECK_METAMODEL, "error", graph, uid, message))
 
-    declared = ttim.node_type_names()
+    declared = set(ttim.node_types)
     for element_type, uids in graph.by_type.items():
         if element_type not in declared:
             for uid in uids:
@@ -159,7 +158,7 @@ def resolve_optimizer_inputs(
     schemas: dict[str, SchemaDoc | None] = {}  # schema-type uid -> schema, None if unreadable
     return {
         uid: _resolve(graph, ttim, uid, schemas)
-        for uid in find_by_type(graph, ttim.optimizer_input_type)
+        for uid in graph.by_type.get(ttim.optimizer_input_type, ())
     }
 
 
@@ -195,7 +194,7 @@ def check_semantic_equivalence(
     written only for the two sides of a mismatch, for its message.
     """
     out: list[Diagnostic] = []
-    placements: set[str] = set()
+    covered: set[str] = set()  # each placement and every pointer above it
 
     def violation(severity: str, uid: str, message: str) -> None:
         out.append(_violation(CHECK_SEMANTIC_EQUIVALENCE, severity, graph, uid, message))
@@ -205,7 +204,10 @@ def check_semantic_equivalence(
         if element.placement is None:
             violation("warning", oi_uid, "optimizer input has no placement pointer")
             continue
-        placements.add(element.placement)
+        pointer = element.placement
+        while pointer not in covered:  # a pointer in it has every pointer above it there too
+            covered.add(pointer)
+            pointer = pointer.rpartition("/")[0]
         try:
             config_sub = resolve_pointer(config_schema, element.placement)
         except PointerUnresolvable as exc:
@@ -218,13 +220,8 @@ def check_semantic_equivalence(
             violation("error", oi_uid, f"schema mismatch at placement {element.placement}: "
                       f"configuration has {canonical_text(config_sub)} "
                       f"but requirement has {canonical_text(oi_schema)}")
-    # placements under pointer + "/" sort together: test the first at or after it
-    ordered = sorted(placements)
     for pointer in collect_property_paths(config_schema):
-        if pointer in placements:
-            continue
-        at = bisect_left(ordered, pointer + "/")
-        if at == len(ordered) or not ordered[at].startswith(pointer + "/"):
+        if pointer not in covered:  # no placement is the property's pointer or lies below it
             out.append(
                 Diagnostic(
                     severity="warning",

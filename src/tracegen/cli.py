@@ -67,8 +67,7 @@ def _load_pipeline(
         # InvalidJson or UnicodeDecodeError
         config_doc = parse_json(Path(config_schema_path).read_text(encoding="utf-8"))
         config_schema = parse_schema(config_doc)
-        include = globs if globs else DEFAULT_GLOBS
-        files, diagnostics = elements_mod.scan_repository(repo_root, include)
+        files, diagnostics = elements_mod.scan_repository(repo_root, globs)
     except InvalidJson as exc:  # a JSONDecodeError cause also gives the position
         _fail(f"config schema is not valid JSON: {exc.__cause__ or exc}")
     except UnicodeDecodeError as exc:
@@ -105,6 +104,7 @@ def _common_options(func):
         "--glob",
         "globs",
         multiple=True,
+        default=DEFAULT_GLOBS,
         help="Include glob pattern, repeatable (default: **/*.md and **/*.txt).",
     )(func)
     func = click.option(
@@ -263,6 +263,9 @@ def main() -> None:
         except (OSError, ValueError):  # a closed pipe: end as the interpreter would
             raise exc from None
         os._exit(exc.code or 0)
+    except OSError as exc:  # a failed stdout write; click ends a broken pipe with exit 1 itself
+        _warn(f"fatal: {exc}")
+        os._exit(EXIT_OPERATIONAL)
 
 
 if __name__ == "__main__":

@@ -17,29 +17,6 @@ if TYPE_CHECKING:
     from tracegen.checks import Resolution
 
 
-def _step(graph: TraceGraph, uid: str, link_type: str | None) -> dict:
-    """One entry of a record's trace; the last, the scenario, has no link."""
-    step = {"uid": uid, "type": graph.element_type(uid)}
-    return step if link_type is None else step | {"link_to_next": link_type}
-
-
-def _record_mapping(path: TracePath, graph: TraceGraph, resolution: Resolution,
-                    trace: list) -> dict:
-    """One record of the intermediary document: the input's element fields,
-    the given trace (its `_step`s, input first) and its resolved schema and value."""
-    element = graph.elements[path.uid]
-    return {
-        "file_name": element.file,
-        "label": element.label,
-        "placement": element.placement,
-        "treqs_type": element.element_type,
-        "uid": path.uid,
-        "trace": trace,
-        "schema": resolution.schema,
-        "value": resolution.value,
-    }
-
-
 # Strings PyYAML writes unescaped: printable, no line break or BOM; ASCII unless
 # allow_unicode. The patterns compile on first use, not when the CLI starts.
 _QUOTABLE = {False: "[\x20-\x7e]*",
@@ -170,16 +147,20 @@ def emit_yaml(
     steps: dict[tuple[str, str | None], str] = {}
     for path in paths:
         if path.uid not in inputs:
-            record = _record_mapping(path, graph, resolutions[path.uid], [])
-            before = {key: value for key, value in record.items() if key < "trace"}
-            after = {key: value for key, value in record.items() if key > "trace"}
+            element, resolution = graph.elements[path.uid], resolutions[path.uid]
+            before = {"file_name": element.file, "label": element.label,
+                      "placement": element.placement, "schema": resolution.schema}
+            after = {"treqs_type": element.element_type, "uid": path.uid, "value": resolution.value}
             inputs[path.uid] = (_block([before], True, 0) + "\n  trace:", _block(after, True, 2))
         head, tail = inputs[path.uid]
         out.append(head)
-        for step in zip_longest(path.nodes, path.link_types):
-            if step not in steps:
-                steps[step] = _block([_step(graph, *step)], True, 2)
-            out.append(steps[step])
+        for uid, link in zip_longest(path.nodes, path.link_types):
+            if (uid, link) not in steps:  # the last step, the scenario, has no link
+                step = {"uid": uid, "type": graph.elements[uid].element_type}
+                if link is not None:
+                    step["link_to_next"] = link
+                steps[uid, link] = _block([step], True, 2)
+            out.append(steps[uid, link])
         out.append(tail)
     return "".join(out) + "\n"
 

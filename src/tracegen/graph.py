@@ -21,9 +21,6 @@ class TraceGraph:
         """Outgoing (link_type, target_uid) pairs in lexicographic order."""
         return self._adjacency.get(uid, ())
 
-    def element_type(self, uid: str) -> str:
-        return self.elements[uid].element_type
-
 
 def build_graph(
     elements: list[RawElement], reverse_links: bool
@@ -80,9 +77,3 @@ def build_graph(
         _adjacency={uid: tuple(pairs) for uid, pairs in adjacency.items()},
     )
     return graph, diagnostics
-
-
-def find_by_type(graph: TraceGraph, type_name: str) -> list[str]:
-    """Uids whose element type equals ``type_name``, sorted."""
-    return list(graph.by_type.get(type_name, ()))
-

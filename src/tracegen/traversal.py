@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from tracegen.errors import Diagnostic, TracegenError
-from tracegen.graph import Edge, TraceGraph, find_by_type
+from tracegen.graph import Edge, TraceGraph
 from tracegen.ttim import TtimDefinition
 
 if TYPE_CHECKING:
@@ -180,7 +180,7 @@ def _search_below(
     events: list[Edge | str] = []
     noted: set[Edge | str] = set()
     # the path that ends at the entry, if it is an input
-    pieces: list[_Piece] = [(None, None)] if graph.element_type(entry) == oi_type else []
+    pieces: list[_Piece] = [(None, None)] if graph.elements[entry].element_type == oi_type else []
     count = len(pieces)
     on_path = {entry}
     # one frame per path node: the node, its neighbour iterator and its trail
@@ -208,7 +208,7 @@ def _search_below(
             else:
                 on_path.add(target)
                 trail = (edge, trail)
-                if graph.element_type(target) == oi_type:
+                if graph.elements[target].element_type == oi_type:
                     count += 1
                     pieces.append((trail, None))
                 frames.append((target, iter(graph.outgoing(target)), trail))
@@ -234,7 +234,7 @@ def summarize_traversal(
     which it is the first of its SCC, so an entry past the cap puts that
     scenario past it too, and summarizing stops there.
     """
-    scenarios = find_by_type(graph, ttim.scenario_type)
+    scenarios = list(graph.by_type.get(ttim.scenario_type, ()))
     schema_link = ttim.schema_link
     cap = max(max_paths, 0)
     index: dict[str, int] = {}
@@ -315,7 +315,7 @@ def traverse_from_scenario(
             paths.append(TracePath(nodes, tuple(link for _, link, _ in edges)))
         else:
             stack.pop()
-    paths.sort(key=lambda p: (p.nodes[0], p.nodes, p.link_types))
+    paths.sort(key=lambda p: (p.nodes, p.link_types))
     return ScenarioResult(paths=paths, diagnostics=list(warnings or ()))
 
 

@@ -25,15 +25,6 @@ class TtimDefinition:
     schema_type_name: str = "schema-type"
     schema_link: str = "describedBy"
 
-    def node_type_names(self) -> set[str]:
-        return set(self.node_types)
-
-    def link_type(self, name: str) -> LinkTypeDef | None:
-        for lt in self.link_types:
-            if lt.name == name:
-                return lt
-        return None
-
 
 def _validate(defn: TtimDefinition) -> TtimDefinition:
     declared = set(defn.node_types)
@@ -53,7 +44,7 @@ def _validate(defn: TtimDefinition) -> TtimDefinition:
     for special in (defn.scenario_type, defn.optimizer_input_type, defn.schema_type_name):
         if special not in declared:
             raise TracegenError(f"special node type {special!r} not declared")
-    schema_link = defn.link_type(defn.schema_link)
+    schema_link = next((lt for lt in defn.link_types if lt.name == defn.schema_link), None)
     if schema_link is None:
         raise TracegenError(f"schema link type {defn.schema_link!r} not declared")
     if defn.optimizer_input_type not in schema_link.source_types:

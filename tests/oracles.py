@@ -9,10 +9,9 @@ from typing import NamedTuple
 
 import yaml
 
-from tracegen.checks import CHECK_METAMODEL, _violation
 from tracegen import elements as _elements
 from tracegen.elements import MAX_NESTING, RawElement, RawLink, SourceFile
-from tracegen.emit import _record_mapping, _step, one_line
+from tracegen.emit import one_line
 from tracegen.errors import Diagnostic, InvalidJson, TracegenError
 from tracegen.graph import TraceGraph
 from tracegen.traversal import DEFAULT_MAX_PATHS, ScenarioResult, TracePath
@@ -125,7 +124,7 @@ def traverse_from_scenario(
     the current path is pruned with one warning per offending edge, so the
     search terminates on cyclic graphs too.
     """
-    if scenario not in graph.elements or graph.element_type(scenario) != ttim.scenario_type:
+    if scenario not in graph.elements or graph.elements[scenario].element_type != ttim.scenario_type:
         raise TracegenError(f"{scenario!r} is not an element of type {ttim.scenario_type!r}")
 
     paths: list[TracePath] = []
@@ -171,7 +170,7 @@ def traverse_from_scenario(
             on_path.add(target)
             path.append(target)
             links.append(link_type)
-            if graph.element_type(target) == ttim.optimizer_input_type:
+            if graph.elements[target].element_type == ttim.optimizer_input_type:
                 record()
             stack.append(iter(graph.outgoing(target)))
             break
@@ -224,9 +223,25 @@ def dump_reference(data, allow_unicode):
 
 
 def record_reference(path, graph, resolution):
-    """One record's mapping with its whole trace: a step per node, input first."""
-    trace = [_step(graph, *step) for step in zip_longest(path.nodes, path.link_types)]
-    return _record_mapping(path, graph, resolution, trace)
+    """One record's mapping with its whole trace: a step per node, input first,
+    each with the link to the next node but the last, the scenario."""
+    trace = []
+    for uid, link in zip_longest(path.nodes, path.link_types):
+        step = {"uid": uid, "type": graph.elements[uid].element_type}
+        if link is not None:
+            step["link_to_next"] = link
+        trace.append(step)
+    element = graph.elements[path.uid]
+    return {
+        "file_name": element.file,
+        "label": element.label,
+        "placement": element.placement,
+        "treqs_type": element.element_type,
+        "uid": path.uid,
+        "trace": trace,
+        "schema": resolution.schema,
+        "value": resolution.value,
+    }
 
 
 def intermediary_reference(config_schema, paths, graph, resolutions):
@@ -503,70 +518,38 @@ def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list
     then sorted again per required link type, link types found by a linear
     scan. The reference for tracegen.checks.check_metamodel_consistency."""
     out: list[Diagnostic] = []
-    declared = ttim.node_type_names()
+
+    def violation(uid, message):
+        element = graph.elements[uid]
+        out.append(Diagnostic("error", message, element.file, element.line,
+                               check_id="metamodel", subject_uid=uid))
+
     for uid in sorted(graph.elements):
-        element_type = graph.element_type(uid)
-        if element_type not in declared:
-            out.append(
-                _violation(
-                    CHECK_METAMODEL,
-                    "error",
-                    graph,
-                    uid,
-                    f"element type {element_type!r} is not declared in the meta-model",
-                )
-            )
+        element_type = graph.elements[uid].element_type
+        if element_type not in ttim.node_types:
+            violation(uid, f"element type {element_type!r} is not declared in the meta-model")
     for source, link_type, target in graph.edges:
-        link_def = ttim.link_type(link_type)
+        link_def = next((lt for lt in ttim.link_types if lt.name == link_type), None)
         if link_def is None:
-            out.append(
-                _violation(
-                    CHECK_METAMODEL,
-                    "error",
-                    graph,
-                    source,
-                    f"link type {link_type!r} is not declared in the meta-model",
-                )
-            )
+            violation(source, f"link type {link_type!r} is not declared in the meta-model")
             continue
-        source_type = graph.element_type(source)
-        target_type = graph.element_type(target)
+        source_type = graph.elements[source].element_type
+        target_type = graph.elements[target].element_type
         if source_type not in link_def.source_types:
-            out.append(
-                _violation(
-                    CHECK_METAMODEL,
-                    "error",
-                    graph,
-                    source,
-                    f"link {link_type!r} may not start from a {source_type!r} element",
-                )
-            )
+            violation(source, f"link {link_type!r} may not start from a {source_type!r} element")
         if target_type not in link_def.target_types:
-            out.append(
-                _violation(
-                    CHECK_METAMODEL,
-                    "error",
-                    graph,
-                    source,
-                    f"link {link_type!r} may not point at a {target_type!r} element ({target})",
-                )
+            violation(
+                source,
+                f"link {link_type!r} may not point at a {target_type!r} element ({target})",
             )
     for link_def in ttim.link_types:
         if not link_def.required:
             continue
         for uid in sorted(graph.elements):
-            if graph.element_type(uid) not in link_def.source_types:
+            if graph.elements[uid].element_type not in link_def.source_types:
                 continue
             if not any(lt == link_def.name for lt, _ in graph.outgoing(uid)):
-                out.append(
-                    _violation(
-                        CHECK_METAMODEL,
-                        "error",
-                        graph,
-                        uid,
-                        f"missing required outgoing link of type {link_def.name!r}",
-                    )
-                )
+                violation(uid, f"missing required outgoing link of type {link_def.name!r}")
     return out
 
 

@@ -81,9 +81,9 @@ def test_criterion_1_fixture_reproduction(tmp_path):
     records = collect_optimizer_inputs([traverse_from_scenario(summary, "RS1")])
     assert len(records) == 2
     for record in records:
-        assert graph.element_type(record.uid) == "OptimizerInput"
+        assert graph.elements[record.uid].element_type == "OptimizerInput"
         assert record.nodes[-1] == "RS1"
-        assert graph.element_type(record.nodes[-1]) == "runtime-scenario"
+        assert graph.elements[record.nodes[-1]].element_type == "runtime-scenario"
     uml = emit_plantuml(*summary.reached(["RS1"]), graph, resolutions)
     node_uids = {
         line.split('"')[1].split("\\n")[0]
@@ -187,7 +187,7 @@ def test_criterion_6_cyclic_graph_termination(tmp_path):
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert any("cycle edge" in d.message for d in warnings)
-    types = {uid: graph.element_type(uid) for uid in graph.elements}
+    types = {uid: element.element_type for uid, element in graph.elements.items()}
     oracle = brute_force_paths(graph.edges, types, "RS1", "OptimizerInput", TTIM.schema_link)
     mine = {
         (tuple(reversed(p.nodes)), tuple(reversed(p.link_types))) for p in result.paths

@@ -101,7 +101,7 @@ class TestMetamodel:
     @pytest.mark.parametrize("ttim", [TTIM, SHARED_SOURCE_TTIM], ids=["default", "shared-source"])
     def test_random_graphs_match_the_reference(self, ttim):
         rng = random.Random(1305)
-        types = sorted(ttim.node_type_names()) + ["reqirement", "undeclared"]
+        types = sorted(ttim.node_types) + ["reqirement", "undeclared"]
         link_types = [lt.name for lt in ttim.link_types] + ["colors", "undeclared"]
         kinds = {"element": 0, "link": 0, "start": 0, "point": 0, "required": 0}
         for _ in range(300):
@@ -324,7 +324,8 @@ class TestSemanticEquivalence:
                 else:  # a pointer the config schema may not hold
                     base = "".join("/properties/" + escape_token(rng.choice(self.NAMES))
                                    for _ in range(rng.randint(1, 3)))
-                placements.add(base + rng.choice(["", "", "/type", "/properties", "/items"]))
+                # "/" ends the placement in an empty token
+                placements.add(base + rng.choice(["", "", "/type", "/properties", "/items", "/"]))
             expected = [
                 f"configuration property {p} not derived from requirements"
                 for p in untargeted_properties(pointers, placements)

@@ -328,18 +328,17 @@ class TestSharedRecords:
         graph = diamond_graph()
         paths = collect_optimizer_inputs([listed(graph, uid) for uid in ("RS1", "RS2")])
         resolutions = resolve_optimizer_inputs(graph, TTIM)
-        calls, steps = [], []
-        real_record, real_step = emit._record_mapping, emit._step
-        monkeypatch.setattr(emit, "_record_mapping",
-                            lambda path, *args: calls.append(path.uid) or real_record(path, *args))
-        monkeypatch.setattr(emit, "_step",
-                            lambda graph, *step: steps.append(step) or real_step(graph, *step))
+        blocks = []
+        real_block = emit._block
+        monkeypatch.setattr(emit, "_block",
+                            lambda data, *args: blocks.append(data) or real_block(data, *args))
         text = emit_yaml(CONFIG, paths, graph, resolutions)
         assert [path.uid for path in paths] == ["OI1", "OI1"]
-        assert calls == ["OI1"]
-        # each distinct (uid, link) step is built once, and no trace is built to be discarded
+        # the header, the fields before and after the trace of each distinct input, and
+        # each distinct (uid, link) step: one block each, and no trace built to be discarded
         distinct = {step for path in paths for step in zip_longest(path.nodes, path.link_types)}
-        assert sorted(steps, key=repr) == sorted(distinct, key=repr)
+        assert len(distinct) < sum(len(path.nodes) for path in paths)
+        assert len(blocks) == 1 + 2 * len({path.uid for path in paths}) + len(distinct)
         assert text == intermediary_reference(CONFIG, paths, graph, resolutions)
 
 

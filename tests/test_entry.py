@@ -112,6 +112,19 @@ def test_a_failed_flush_at_exit_ends_as_the_interpreter_would(fig_repo):
     assert b"BrokenPipeError" in entry.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [*COMMANDS[1:], ["--help"]], ids=" ".join)
+def test_a_full_stdout_ends_in_one_fatal_line(fig_repo, command, unbuffered):
+    # every write to /dev/full fails with ENOSPC, which is not a broken pipe
+    args = command if command == ["--help"] else command_args(command, *fig_repo)
+    with open("/dev/full", "wb") as full:
+        result = run(args, stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"fatal: ") and result.stderr.count(b"\n") == 1
+    assert result.stderr.endswith(b"\n") and b"Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("body, code, stderr", [
     ("sys.exit()", 0, b""),
     ("sys.exit(3)", 3, b""),

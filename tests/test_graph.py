@@ -1,6 +1,6 @@
 import random
 
-from tracegen.graph import build_graph, find_by_type
+from tracegen.graph import build_graph
 
 from conftest import mk_element
 
@@ -111,11 +111,11 @@ class TestFindByType:
             ],
             reverse_links=False,
         )
-        assert find_by_type(graph, "runtime-scenario") == ["RS1", "RS2"]
+        assert graph.by_type["runtime-scenario"] == ("RS1", "RS2")
 
     def test_unknown_type_empty(self):
         graph, _ = build_graph([mk_element("A", "t")], reverse_links=False)
-        assert find_by_type(graph, "zzz") == []
+        assert graph.by_type == {"t": ("A",)}
 
     def test_matches_linear_scan_and_partitions(self):
         rng = random.Random(7)
@@ -126,7 +126,7 @@ class TestFindByType:
         all_uids = set()
         for type_name in ["a", "b", "c"]:
             expected = sorted(e.uid for e in elements if e.element_type == type_name)
-            got = find_by_type(graph, type_name)
+            got = list(graph.by_type.get(type_name, ()))
             assert got == expected
             assert not all_uids & set(got)
             all_uids |= set(got)

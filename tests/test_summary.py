@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from tracegen.cli import cli
 from tracegen.errors import TracegenError
-from tracegen.graph import build_graph, find_by_type
+from tracegen.graph import build_graph
 from tracegen.traversal import summarize_traversal, traverse_from_scenario
 from tracegen.ttim import default_extended_framework
 
@@ -36,7 +36,7 @@ def assert_matches_reference(graph, ttim):
     """Each scenario's count, nodes, edges, inputs and warnings equal what the
     reference enumerator's paths give; the enumerator lists the same paths."""
     summary = summarize_traversal(graph, ttim, UNLIMITED)
-    assert summary.scenarios == find_by_type(graph, ttim.scenario_type)
+    assert summary.scenarios == list(graph.by_type.get(ttim.scenario_type, ()))
     all_nodes, all_edges = set(), set()
     for scenario in summary.scenarios:
         reference = oracles.traverse_from_scenario(graph, ttim, scenario, max_paths=UNLIMITED)
@@ -47,7 +47,7 @@ def assert_matches_reference(graph, ttim):
         }
         assert summary.count(scenario) == len(reference.paths)
         assert summary.reached([scenario]) == (nodes, edges)
-        inputs = {uid for uid in nodes if graph.element_type(uid) == ttim.optimizer_input_type}
+        inputs = {uid for uid in nodes if graph.elements[uid].element_type == ttim.optimizer_input_type}
         assert inputs == {path.uid for path in reference.paths}
         assert summary.warnings(scenario) == reference.diagnostics
         assert traverse_from_scenario(summary, scenario).paths == reference.paths

@@ -27,8 +27,8 @@ class TestLoad:
         path.write_text(MINIMAL)
         defn = load_ttim(path)
         assert defn.schema_link == "traces"
-        assert defn.link_type("traces").required
-        assert defn.node_type_names() == {"runtime-scenario", "OptimizerInput", "schema-type"}
+        assert [(lt.name, lt.required) for lt in defn.link_types] == [("traces", True)]
+        assert defn.node_types == ("runtime-scenario", "OptimizerInput", "schema-type")
 
     def test_dangling_source_type(self):
         text = MINIMAL.replace("source: OptimizerInput", "source: nonexistent")
