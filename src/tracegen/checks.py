@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -254,13 +255,8 @@ def run_all_checks(
             v.message,
         )
     )
-    counts = {
-        check_id: (
-            sum(1 for v in violations if v.check_id == check_id and v.severity == "error"),
-            sum(1 for v in violations if v.check_id == check_id and v.severity == "warning"),
-        )
-        for check_id in CHECK_ORDER
-    }
+    tally = Counter((v.check_id, v.severity) for v in violations)
+    counts = {check_id: (tally[check_id, "error"], tally[check_id, "warning"]) for check_id in CHECK_ORDER}
     passed = all(errors == 0 for errors, _ in counts.values())
     return CheckReport(violations=violations, counts=counts, passed=passed)
 

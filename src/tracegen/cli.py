@@ -1,12 +1,13 @@
 """Command-line entry point: parse, build, check, traverse, emit.
 
-Exit codes: 0 success, 1 check failures, 2 usage/IO/parse-fatal errors.
+Exit codes: 0 success, 1 check failures or parse/graph errors, 2 usage/IO/parse-fatal errors.
 Standard output carries only the requested artifact; diagnostics go to
 standard error.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import json  # noqa: F401 (perfbench/tracer.py wraps cli.json.loads by name)
 import os
@@ -29,7 +30,7 @@ from tracegen.traversal import (
     summarize_traversal,
     traverse_from_scenario,
 )
-from tracegen.ttim import TtimDefinition, default_extended_framework, load_ttim
+from tracegen.ttim import TtimDefinition, default_extended_framework, parse_ttim
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,26 +53,29 @@ def _print_diagnostics(diagnostics: list[Diagnostic]) -> None:
         _warn(str(diag))
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(f"{what} is not UTF-8: {exc}")
+
+
 def _load_pipeline(
     repo_root: str,
     ttim_path: str | None,
     config_schema_path: str,
     globs: tuple[str, ...],
     reverse_links: bool,
-) -> tuple[TraceGraph, TtimDefinition, SchemaDoc]:
-    """Shared front half of every subcommand; a fatal input problem ends the
-    run with exit 2."""
+) -> tuple[TraceGraph, TtimDefinition, SchemaDoc, bool]:
+    """Shared front half of every subcommand, and whether it printed an
+    ``error:`` line; a fatal input problem ends the run with exit 2."""
     try:
-        ttim = load_ttim(ttim_path) if ttim_path else default_extended_framework()
-        # of the calls in this block, only reading the config schema raises
-        # InvalidJson or UnicodeDecodeError
-        config_doc = parse_json(Path(config_schema_path).read_text(encoding="utf-8"))
-        config_schema = parse_schema(config_doc)
+        ttim = parse_ttim(_read(ttim_path, "TTIM file")) if ttim_path else default_extended_framework()
+        # of the calls in this block, only parsing the config schema raises InvalidJson
+        config_schema = parse_schema(parse_json(_read(config_schema_path, "config schema")))
         files, diagnostics = elements_mod.scan_repository(repo_root, globs)
     except InvalidJson as exc:  # a JSONDecodeError cause also gives the position
         _fail(f"config schema is not valid JSON: {exc.__cause__ or exc}")
-    except UnicodeDecodeError as exc:
-        _fail(f"config schema is not UTF-8: {exc}")
     except (TracegenError, OSError) as exc:
         _fail(exc)
     all_elements = []
@@ -82,7 +86,7 @@ def _load_pipeline(
     graph, build_diags = build_graph(all_elements, reverse_links)
     diagnostics.extend(build_diags)
     _print_diagnostics(diagnostics)
-    return graph, ttim, config_schema
+    return graph, ttim, config_schema, any(diag.severity == "error" for diag in diagnostics)
 
 
 def _write(path: str, text: str) -> None:
@@ -93,7 +97,13 @@ def _write(path: str, text: str) -> None:
         _fail(exc)
 
 
-def _common_options(func):
+def _common_options(command):
+    """The options every subcommand shares: ``command`` gets what ``_load_pipeline`` returns, then its own."""
+
+    @functools.wraps(command)
+    def func(repo_root, ttim_path, config_schema_path, globs, reverse_links, **own):
+        return command(*_load_pipeline(repo_root, ttim_path, config_schema_path, globs, reverse_links), **own)
+
     func = click.option(
         "--reverse-links",
         is_flag=True,
@@ -148,18 +158,15 @@ def cli(ctx: click.Context) -> None:
 @cli.command("check")
 @_common_options
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), help="Write the check report as YAML.")
-def cmd_check(repo_root, ttim_path, config_schema_path, globs, reverse_links, report_path) -> None:
+def cmd_check(graph, ttim, config_schema, load_failed, report_path) -> None:
     """Run the three quality-assurance checks."""
-    graph, ttim, config_schema = _load_pipeline(
-        repo_root, ttim_path, config_schema_path, globs, reverse_links
-    )
     report = checks_mod.run_all_checks(
         graph, ttim, config_schema, checks_mod.resolve_optimizer_inputs(graph, ttim)
     )
     _print_diagnostics(report.violations)
     if report_path:
         _write(report_path, checks_mod.report_to_yaml(report))
-    sys.exit(EXIT_OK if report.passed else EXIT_CHECK_FAILED)
+    sys.exit(EXIT_OK if report.passed and not load_failed else EXIT_CHECK_FAILED)
 
 
 @cli.command("generate")
@@ -175,26 +182,21 @@ def cmd_check(repo_root, ttim_path, config_schema_path, globs, reverse_links, re
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), help="Write the check report as YAML.")
 @_max_paths_option
 def cmd_generate(
-    repo_root,
-    ttim_path,
-    config_schema_path,
-    globs,
-    reverse_links,
+    graph,
+    ttim,
+    config_schema,
+    load_failed,
     output_format,
     output_path,
     report_path,
     max_paths_per_scenario,
 ) -> None:
     """Emit the intermediary YAML document or the PlantUML overview."""
-    graph, ttim, config_schema = _load_pipeline(
-        repo_root, ttim_path, config_schema_path, globs, reverse_links
-    )
-
     resolutions = checks_mod.resolve_optimizer_inputs(graph, ttim)
     report = checks_mod.run_all_checks(graph, ttim, config_schema, resolutions)
     if report_path:
         _write(report_path, checks_mod.report_to_yaml(report))
-    if not report.passed:
+    if not report.passed or load_failed:
         _warn("checks failed; run check for details")
         sys.exit(EXIT_CHECK_FAILED)
 
@@ -230,13 +232,8 @@ def cmd_generate(
 @cli.command("list-scenarios")
 @_common_options
 @_max_paths_option
-def cmd_list_scenarios(
-    repo_root, ttim_path, config_schema_path, globs, reverse_links, max_paths_per_scenario
-) -> None:
+def cmd_list_scenarios(graph, ttim, config_schema, load_failed, max_paths_per_scenario) -> None:
     """List runtime scenarios with their reachable trace-path counts."""
-    graph, ttim, _ = _load_pipeline(
-        repo_root, ttim_path, config_schema_path, globs, reverse_links
-    )
     summary = summarize_traversal(graph, ttim, max_paths_per_scenario)
     for uid in summary.scenarios:
         try:
@@ -263,9 +260,11 @@ def main() -> None:
         except (OSError, ValueError):  # a closed pipe: end as the interpreter would
             raise exc from None
         os._exit(exc.code or 0)
-    except OSError as exc:  # a failed stdout write; click ends a broken pipe with exit 1 itself
-        _warn(f"fatal: {exc}")
-        os._exit(EXIT_OPERATIONAL)
+    except OSError as exc:  # a failed stdout or stderr write; click ends a broken pipe with exit 1 itself
+        try:
+            _warn(f"fatal: {exc}")
+        finally:  # also when stderr refuses this line
+            os._exit(EXIT_OPERATIONAL)
 
 
 if __name__ == "__main__":

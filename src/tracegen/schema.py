@@ -52,10 +52,6 @@ class SchemaViolation:
     message: str
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def parse_schema(doc: Any, pointer: str = "") -> SchemaDoc:
     """Validate ``doc`` against the supported keyword subset.
 
@@ -92,7 +88,7 @@ def parse_schema(doc: Any, pointer: str = "") -> SchemaDoc:
         if not isinstance(doc["enum"], list) or not doc["enum"]:
             raise SchemaError("enum must be a non-empty list", pointer)
     for kw in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
-        if kw in doc and not _is_number(doc[kw]):
+        if kw in doc and _json_type(doc[kw]) != "number":
             raise SchemaError(f"{kw} must be a number", pointer)
     if "minimum" in doc and "maximum" in doc and doc["minimum"] > doc["maximum"]:
         raise SchemaError("minimum exceeds maximum", pointer)
@@ -148,11 +144,7 @@ def json_equal(a: Any, b: Any) -> bool:
 
 
 def _scalar_equal(a: Any, b: Any) -> bool:
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    if _is_number(a) and _is_number(b):
-        return a == b
-    return type(a) is type(b) and a == b
+    return _json_type(a) == _json_type(b) and a == b
 
 
 def validate_instance(schema: SchemaDoc, instance: Any) -> list[SchemaViolation]:
@@ -175,7 +167,7 @@ def _validate(schema: SchemaDoc, instance: Any, ptr: str, out: list[SchemaViolat
         out.append(SchemaViolation(ptr, "enum", "value not among enum members"))
     if "const" in schema and not json_equal(instance, schema["const"]):
         out.append(SchemaViolation(ptr, "const", "value differs from const"))
-    if _is_number(instance):
+    if _json_type(instance) == "number":
         if "minimum" in schema and instance < schema["minimum"]:
             out.append(SchemaViolation(ptr, "minimum", f"{instance} < {schema['minimum']}"))
         if "maximum" in schema and instance > schema["maximum"]:

@@ -13,8 +13,8 @@ still enumerate simple paths, since counting those is #P-complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from tracegen.errors import Diagnostic, TracegenError
 from tracegen.graph import Edge, TraceGraph
@@ -26,10 +26,9 @@ if TYPE_CHECKING:
 DEFAULT_MAX_PATHS = 10000
 
 
-@dataclass(frozen=True)
-class TracePath:
+class TracePath(NamedTuple):
     """Chain of uids from an optimizer input (first) up to the scenario (last),
-    one record of the intermediary document.
+    one record of the intermediary document; records sort by (nodes, link_types).
 
     link_types[i] labels the graph edge from nodes[i+1] to nodes[i].
     """
@@ -43,12 +42,11 @@ class TracePath:
         return self.nodes[0]
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """A scenario's paths with its cycle warnings."""
 
     paths: list[TracePath]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
 
 
 # A piece is a path the search below an entry records: its trail, then the
@@ -59,8 +57,7 @@ _Trail = "tuple[Edge, _Trail] | None"
 _Piece = tuple[_Trail, str | None]
 
 
-@dataclass(frozen=True, slots=True)
-class _Entry:
+class _Entry(NamedTuple):
     """The search below an entry node, the first of its SCC on the path."""
 
     count: int  # paths it records at or below the node; past the cap, a lower bound
@@ -296,7 +293,7 @@ def traverse_from_scenario(
     summary: TraversalSummary, scenario: str, warnings: list[Diagnostic] | None = None
 ) -> ScenarioResult:
     """The trace paths the summary counts for ``scenario``, its pieces joined
-    from entry to entry, sorted by input, nodes and link types. ``warnings``,
+    from entry to entry, in record order (see ``TracePath``). ``warnings``,
     as ``TraversalSummary.warnings`` lists them, ride along in the result."""
     paths: list[TracePath] = []
     # one frame per entry on the path: its pieces and the trail that led to it
@@ -315,7 +312,7 @@ def traverse_from_scenario(
             paths.append(TracePath(nodes, tuple(link for _, link, _ in edges)))
         else:
             stack.pop()
-    paths.sort(key=lambda p: (p.nodes, p.link_types))
+    paths.sort()
     return ScenarioResult(paths=paths, diagnostics=list(warnings or ()))
 
 

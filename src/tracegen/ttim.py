@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from tracegen.errors import TracegenError
 
@@ -70,15 +69,6 @@ def _name(value, what: str) -> str:
     if not isinstance(value, str) or not value:
         raise TracegenError(f"{what} must be a non-empty string, got {value!r}")
     return value
-
-
-def load_ttim(path: str | Path) -> TtimDefinition:
-    """Load and validate a TTIM definition from its YAML layout."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise TracegenError(f"TTIM file is not UTF-8: {exc}") from exc
-    return parse_ttim(text)
 
 
 def parse_ttim(text: str) -> TtimDefinition:

@@ -333,6 +333,31 @@ class TestCheck:
             "OI_ETH", "OI_MODEL", "OI_X"]
         assert parsed == [ETH_SCHEMA]
 
+    def test_extra_fenced_blocks_warned_once_per_element(self, tmp_path):
+        # OI_ETH, OI_MODEL and OI_X link to ST_ETH; it and OI_MODEL carry a second block
+        repo, schema = shared_schema_repo(
+            tmp_path, json.dumps(ETH_SCHEMA) + '\n```\n```json\n{"type": "string"}')
+        optimizer = repo / "optimizer.md"
+        optimizer.write_text(optimizer.read_text().replace(
+            "```json\n50\n```", "```json\n50\n```\n```json\n60\n```"))
+        lines = optimizer.read_text().splitlines()
+        report = tmp_path / "report.yaml"
+        result = run("check", repo, "--config-schema", schema, "--report", report)
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr.splitlines() == [
+            f"warning: internal_schema: optimizer.md:{lines.index(opening) + 1}: "
+            "multiple fenced JSON blocks; only the first is used"
+            for opening in lines if opening.startswith(('<treqs-element id="OI_MODEL"',
+                                                        '<treqs-element id="ST_ETH"'))]
+        data = yaml.safe_load(report.read_text())
+        assert data["counts"]["internal_schema"] == {"errors": 0, "warnings": 2}
+        assert [v["subject_uid"] for v in data["violations"]] == ["OI_MODEL", "ST_ETH"]
+        result = run("generate", repo, "--config-schema", schema, "--format", "yaml")
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert [(r["uid"], r["value"], r["schema"])
+                for r in yaml.safe_load(result.stdout)["optimizer_inputs"]] == [
+            ("OI_ETH", 20, ETH_SCHEMA), ("OI_MODEL", 50, ETH_SCHEMA), ("OI_X", 3, ETH_SCHEMA)]
+
     @pytest.mark.parametrize(
         "placement, segment",
         [("/type", "type"), ("/required/0", "required"),
@@ -396,6 +421,58 @@ class TestCheck:
         result = run("check", repo, "--config-schema", schema, "--report", report)
         assert result.exit_code == 0
         assert yaml.safe_load(report.read_text())["passed"] is True
+
+
+# An element or link that a parse or graph error drops, with the error line it
+# prints; the checks pass on what is left.
+LOAD_ERRORS = {
+    "dangling-link": (
+        '<treqs-element id="REQ_X" type="requirement">\n'
+        '<treqs-link type="refines" target="REQ_GONE" />\n</treqs-element>\n',
+        "error: requirements.md:13: dangling link 'refines' to unknown uid 'REQ_GONE'",
+    ),
+    "duplicate-uid": (
+        '<treqs-element id="REQ_ETH" type="requirement">\n</treqs-element>\n',
+        "error: requirements.md:12: duplicate uid 'REQ_ETH' (first defined at requirements.md:3)",
+    ),
+    "malformed-tag": (
+        '<treqs-element type="requirement">\n</treqs-element>\n',
+        "error: requirements.md:12: missing id attribute",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_ERRORS)
+class TestLoadErrors:
+    """A parse or graph error fails check and generate, whose report still
+    says the three checks passed; list-scenarios lists what is left."""
+
+    def repo(self, tmp_path, case):
+        return write_repo(tmp_path, repo_files(extra_requirements=LOAD_ERRORS[case][0]))
+
+    def test_check_exit_1(self, tmp_path, case):
+        repo, schema = self.repo(tmp_path, case)
+        report = tmp_path / "report.yaml"
+        result = run("check", repo, "--config-schema", schema, "--report", report)
+        assert (result.exit_code, result.stderr) == (1, LOAD_ERRORS[case][1] + "\n")
+        assert yaml.safe_load(report.read_text())["passed"] is True
+
+    @pytest.mark.parametrize("output_format", ["yaml", "plantuml"])
+    def test_generate_refuses_exit_1(self, tmp_path, case, output_format):
+        repo, schema = self.repo(tmp_path, case)
+        report = tmp_path / "report.yaml"
+        result = run("generate", repo, "--config-schema", schema, "--format", output_format,
+                     "--report", report)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr.splitlines() == [
+            LOAD_ERRORS[case][1], "checks failed; run check for details"]
+        assert yaml.safe_load(report.read_text())["passed"] is True
+
+    def test_list_scenarios_exit_0(self, tmp_path, case):
+        repo, schema = self.repo(tmp_path, case)
+        result = run("list-scenarios", repo, "--config-schema", schema)
+        assert (result.exit_code, result.stdout) == (0, "RS1\tNight driving\t2\n")
+        assert result.stderr == LOAD_ERRORS[case][1] + "\n"
 
 
 class TestGenerate:
@@ -564,11 +641,13 @@ class TestGenerate:
         result = run(
             "generate", repo, "--config-schema", schema, "--glob", "scenarios.md"
         )
-        # only the scenario file is visible: its scopes link dangles and the
-        # traversal finds no optimizer inputs
-        assert result.exit_code == 0
-        data = yaml.safe_load(result.stdout)
-        assert data["optimizer_inputs"] == []
+        # only the scenario file is visible: its scopes link dangles, and
+        # that error refuses the document
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr.splitlines() == [
+            "error: scenarios.md:5: dangling link 'scopes' to unknown uid 'AL1'",
+            "checks failed; run check for details",
+        ]
 
     def test_input_without_optional_schema_link_exit_1(self, tmp_path):
         # a TTIM may make the schema link optional: checks then pass, but an

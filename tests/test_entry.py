@@ -14,19 +14,21 @@ from click.testing import CliRunner
 from tracegen.cli import cli
 
 from conftest import repo_files, write_repo
+from test_cli import LOAD_ERRORS
 from test_collector import COMMANDS, exit_repo
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROG = "tracegen"  # click's program name for the scripts below, whose argv[0] it is
 
 
-def run(argv, stdout=subprocess.PIPE, main="cli.main()", prelude="", preexec_fn=None, **env):
+def run(argv, stdout=subprocess.PIPE, main="cli.main()", prelude="", preexec_fn=None,
+        stderr=subprocess.PIPE, **env):
     """``argv`` through ``main`` in a new process, after ``prelude``; the
     default is the entry point itself, as ``python -m tracegen.cli`` runs it.
     Standard output is buffered, as by default, unless ``env`` says otherwise."""
     script = "\n".join(["import sys", "from tracegen import cli", prelude,
                         f"sys.argv = ['tracegen', *{list(map(str, argv))!r}]", main])
-    return subprocess.run([sys.executable, "-c", script], stdout=stdout, stderr=subprocess.PIPE,
+    return subprocess.run([sys.executable, "-c", script], stdout=stdout, stderr=stderr,
                           env=environ(**env), preexec_fn=preexec_fn, timeout=120)
 
 
@@ -123,6 +125,23 @@ def test_a_full_stdout_ends_in_one_fatal_line(fig_repo, command, unbuffered):
     assert result.returncode == 2
     assert result.stderr.startswith(b"fatal: ") and result.stderr.count(b"\n") == 1
     assert result.stderr.endswith(b"\n") and b"Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("dangling", [False, True], ids=["clean", "dangling-link"])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_a_full_stderr_ends_with_exit_2_once_a_line_is_refused(tmp_path, command, dangling):
+    # the clean fixture writes nothing to stderr; a dangling link writes an error line
+    extra = LOAD_ERRORS["dangling-link"][0] if dangling else ""
+    args = command_args(command, *write_repo(tmp_path, repo_files(extra_requirements=extra)))
+    with open("/dev/full", "wb") as full:
+        result = run(args, stderr=full)
+    if dangling:
+        assert (result.returncode, result.stdout) == (2, b"")
+    else:
+        expected = CliRunner().invoke(cli, args, prog_name=PROG)
+        assert (result.returncode, result.stdout) == (0, expected.stdout_bytes)
+        assert expected.stderr_bytes == b""
 
 
 @pytest.mark.parametrize("body, code, stderr", [

@@ -1,7 +1,7 @@
 import pytest
 
 from tracegen.errors import TracegenError
-from tracegen.ttim import default_extended_framework, load_ttim, parse_ttim
+from tracegen.ttim import default_extended_framework, parse_ttim
 
 MINIMAL = """
 node_types:
@@ -25,7 +25,7 @@ class TestLoad:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "ttim.yaml"
         path.write_text(MINIMAL)
-        defn = load_ttim(path)
+        defn = parse_ttim(path.read_text())
         assert defn.schema_link == "traces"
         assert [(lt.name, lt.required) for lt in defn.link_types] == [("traces", True)]
         assert defn.node_types == ("runtime-scenario", "OptimizerInput", "schema-type")
