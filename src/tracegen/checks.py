@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from tracegen.elements import RawElement, first_json_fence, parse_json
 from tracegen.emit import dump_yaml
@@ -27,10 +26,9 @@ CHECK_SEMANTIC_EQUIVALENCE = "semantic_equivalence"
 CHECK_ORDER = (CHECK_METAMODEL, CHECK_INTERNAL_SCHEMA, CHECK_SEMANTIC_EQUIVALENCE)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     violations: list[Diagnostic]
-    counts: dict[str, tuple[int, int]] = field(default_factory=dict)  # id -> (errors, warnings)
+    counts: dict[str, tuple[int, int]]  # id -> (errors, warnings)
     passed: bool = True
 
 
@@ -92,8 +90,7 @@ def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class Resolution:
+class Resolution(NamedTuple):
     """One optimizer input's schema and instance value, and the check-2
     violations met while reading them."""
 

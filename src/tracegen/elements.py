@@ -18,7 +18,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,8 +46,7 @@ _FENCE_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     path: str  # repository-relative, forward slashes
     content: str
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TracegenError(Exception):
@@ -27,8 +27,7 @@ class PointerUnresolvable(TracegenError):
         super().__init__(f"pointer {pointer!r} unresolvable at segment {segment!r}")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One finding for stderr or the check report: a parse, graph or traversal
     problem, or a check violation (which carries its check id and subject)."""
 

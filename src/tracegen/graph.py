@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from tracegen.elements import RawElement
 from tracegen.errors import Diagnostic
@@ -10,16 +10,15 @@ from tracegen.errors import Diagnostic
 Edge = tuple[str, str, str]  # (source_uid, link_type, target_uid)
 
 
-@dataclass(frozen=True)
-class TraceGraph:
+class TraceGraph(NamedTuple):
     elements: dict[str, RawElement]
     edges: tuple[Edge, ...]
     by_type: dict[str, tuple[str, ...]]
-    _adjacency: dict[str, tuple[tuple[str, str], ...]] = field(default_factory=dict, repr=False)
+    adjacency: dict[str, tuple[tuple[str, str], ...]]
 
     def outgoing(self, uid: str) -> tuple[tuple[str, str], ...]:
         """Outgoing (link_type, target_uid) pairs in lexicographic order."""
-        return self._adjacency.get(uid, ())
+        return self.adjacency.get(uid, ())
 
 
 def build_graph(
@@ -74,6 +73,6 @@ def build_graph(
         elements=kept,
         edges=edges,
         by_type={t: tuple(sorted(uids)) for t, uids in by_type.items()},
-        _adjacency={uid: tuple(pairs) for uid, pairs in adjacency.items()},
+        adjacency={uid: tuple(pairs) for uid, pairs in adjacency.items()},
     )
     return graph, diagnostics

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from tracegen.errors import PointerUnresolvable, SchemaError
 
@@ -43,8 +42,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True), 
 _POINTER_RE = re.compile(r"(?:/[^~]*(?:~[01][^~]*)*)?")
 
 
-@dataclass(frozen=True)
-class SchemaViolation:
+class SchemaViolation(NamedTuple):
     """One failed keyword check for a concrete instance."""
 
     pointer: str
@@ -98,24 +96,19 @@ def parse_schema(doc: Any, pointer: str = "") -> SchemaDoc:
     return doc
 
 
+# parse_json builds only these exact types, so a value's own type names its JSON type
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
 def _json_type(value: Any) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, list):
-        return "array"
-    return "object"
+    return _JSON_TYPES[type(value)]
 
 
 def _matches_type(value: Any, declared: str) -> bool:
     actual = _json_type(value)
     if declared == "integer":
-        return actual == "number" and (isinstance(value, int) or value.is_integer())
+        return actual == "number" and (type(value) is int or value.is_integer())
     return actual == declared
 
 

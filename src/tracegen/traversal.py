@@ -13,7 +13,6 @@ still enumerate simple paths, since counting those is #P-complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from tracegen.errors import Diagnostic, TracegenError
@@ -78,8 +77,7 @@ def _cycle_warning(graph: TraceGraph, edge: Edge) -> Diagnostic:
     )
 
 
-@dataclass(frozen=True)
-class TraversalSummary:
+class TraversalSummary(NamedTuple):
     """What each scenario's depth-first search finds, without its paths.
 
     The search follows every link type except the schema link, visits
@@ -93,14 +91,14 @@ class TraversalSummary:
     scenarios: list[str]
     max_paths: int
     over_cap: str | None
-    _entries: dict[str, _Entry]
+    entries: dict[str, _Entry]
 
     def count(self, scenario: str) -> int:
         """The scenario's exact number of trace paths. Ask in scenario order:
         the scenario past the cap raises, and no later one is summarized."""
         if scenario == self.over_cap:
             raise TracegenError(f"scenario {scenario!r} exceeds {self.max_paths} trace paths")
-        return self._entries[scenario].count
+        return self.entries[scenario].count
 
     def warnings(self, scenario: str) -> list[Diagnostic]:
         """One warning per cycle edge the scenario's search prunes, in the
@@ -108,14 +106,14 @@ class TraversalSummary:
         found: list[Diagnostic] = []
         pruned: set[Edge] = set()
         expanded = {scenario}
-        stack = [iter(self._entries[scenario].events)]
+        stack = [iter(self.entries[scenario].events)]
         while stack:
             for event in stack[-1]:
                 if type(event) is str:
                     # a later visit of the same entry prunes nothing new
                     if event not in expanded:
                         expanded.add(event)
-                        stack.append(iter(self._entries[event].events))
+                        stack.append(iter(self.entries[event].events))
                         break
                 elif event not in pruned:
                     pruned.add(event)
@@ -126,12 +124,12 @@ class TraversalSummary:
 
     def reached(self, scenarios: list[str]) -> tuple[set[str], set[Edge]]:
         """The nodes and edges of the given scenarios' trace paths."""
-        todo = [uid for uid in scenarios if self._entries[uid].pieces]
+        todo = [uid for uid in scenarios if self.entries[uid].pieces]
         nodes = set(todo)  # a scenario with a path and the entries those paths visit
         edges: set[Edge] = set()
         read: set[int] = set()  # the trails read back to their entry, by identity
         while todo:
-            for trail, below in self._entries[todo.pop()].pieces:
+            for trail, below in self.entries[todo.pop()].pieces:
                 while trail is not None:
                     edge, trail = trail
                     edges.add(edge)
@@ -297,11 +295,11 @@ def traverse_from_scenario(
     as ``TraversalSummary.warnings`` lists them, ride along in the result."""
     paths: list[TracePath] = []
     # one frame per entry on the path: its pieces and the trail that led to it
-    stack = [(iter(summary._entries[scenario].pieces), None)]
+    stack = [(iter(summary.entries[scenario].pieces), None)]
     while stack:
         for trail, below in stack[-1][0]:
             if below is not None:
-                stack.append((iter(summary._entries[below].pieces), trail))
+                stack.append((iter(summary.entries[below].pieces), trail))
                 break
             edges = []  # the path's edges, last first
             for cell in (trail, *(led for _, led in reversed(stack))):

@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from tracegen.errors import TracegenError
 
 
-@dataclass(frozen=True)
-class LinkTypeDef:
+class LinkTypeDef(NamedTuple):
     name: str
     source_types: frozenset[str]
     target_types: frozenset[str]
     required: bool = False  # when true, every source-typed element needs >=1 such link
 
 
-@dataclass(frozen=True)
-class TtimDefinition:
+class TtimDefinition(NamedTuple):
     node_types: tuple[str, ...]
     link_types: tuple[LinkTypeDef, ...]
     scenario_type: str = "runtime-scenario"
@@ -33,8 +31,6 @@ def _validate(defn: TtimDefinition) -> TtimDefinition:
     if len(set(link_names)) != len(link_names):
         raise TracegenError("duplicate link type name")
     for lt in defn.link_types:
-        if not lt.source_types or not lt.target_types:
-            raise TracegenError(f"link type {lt.name!r} needs source and target types")
         for ref in sorted(lt.source_types | lt.target_types):
             if ref not in declared:
                 raise TracegenError(

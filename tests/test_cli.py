@@ -1,4 +1,5 @@
 import json
+import pathlib
 import sys
 
 import pytest
@@ -13,6 +14,8 @@ from conftest import (
     CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, nested, repo_files, write_repo,
 )
 from oracles import intermediary_reference
+
+DELETED = object()  # a TTIM edit that removes the key
 
 
 def run(*args):
@@ -197,9 +200,26 @@ class TestCheck:
             (["node_types", 3, "name"], 3, "node type name must be a non-empty string, got 3"),
             (["link_types", 5, "required"], "sometimes",
              "link type 'describedBy': required must be true or false, got 'sometimes'"),
+            (["node_types", 1], {"name": "runtime-scenario"}, "duplicate node type name"),
+            (["link_types", 1, "name"], "refines", "duplicate link type name"),
+            (["special", "schema_link"], "nope", "schema link type 'nope' not declared"),
+            (["link_types", 5, "target"], "requirement",
+             "schema link 'describedBy' must accept 'schema-type' targets"),
+            (["node_types", 0], "runtime-scenario", "bad node type entry: 'runtime-scenario'"),
+            (["node_types", 0, "color"], "red", "unknown node type key(s): ['color']"),
+            (["link_types", 0], 5, "bad link type entry: 5"),
+            (["special"], [], "special must be a mapping"),
+            (["special", "extra"], "x", "unknown special key(s): ['extra']"),
+            (["link_types", 0, "source"], [],
+             "expected a type name or list of type names, got []"),
+            (["link_types", 0, "target"], DELETED,
+             "link type entry missing 'target': {'name': 'refines', 'source': 'requirement'}"),
         ],
         ids=["node-types-scalar", "node-types-null", "link-types-scalar", "special-list",
-             "special-empty", "link-name-list", "node-name-number", "required-string"],
+             "special-empty", "link-name-list", "node-name-number", "required-string",
+             "duplicate-node-type", "duplicate-link-type", "schema-link-undeclared",
+             "schema-link-target", "node-type-scalar", "node-type-extra-key", "link-type-scalar",
+             "special-not-mapping", "special-extra-key", "link-source-empty", "link-target-missing"],
     )
     def test_ill_typed_ttim_exit_2(self, fig_repo, tmp_path, where, value, message):
         repo, schema = fig_repo
@@ -207,7 +227,10 @@ class TestCheck:
         parent = data
         for key in where[:-1]:
             parent = parent[key]
-        parent[where[-1]] = value
+        if value is DELETED:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
         ttim = tmp_path / "ttim.yaml"
         ttim.write_text(yaml.safe_dump(data))
         result = run("check", repo, "--config-schema", schema, "--ttim", ttim)
@@ -473,6 +496,26 @@ class TestLoadErrors:
         result = run("list-scenarios", repo, "--config-schema", schema)
         assert (result.exit_code, result.stdout) == (0, "RS1\tNight driving\t2\n")
         assert result.stderr == LOAD_ERRORS[case][1] + "\n"
+
+
+@pytest.mark.parametrize("command, exit_code", [
+    (["check"], 1), (["generate", "--format", "yaml"], 1),
+    (["generate", "--format", "plantuml"], 1), (["list-scenarios"], 0)])
+def test_unreadable_file_is_an_error(fig_repo, monkeypatch, command, exit_code):
+    repo, schema = fig_repo
+    read_text = pathlib.Path.read_text
+
+    def refuse(path, *args, **kwargs):
+        if path.name == "architecture.md":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", refuse)
+    result = run(command[0], repo, "--config-schema", schema, *command[1:])
+    assert result.exit_code == exit_code
+    assert result.stderr.startswith(
+        "error: architecture.md:1: cannot read file: [Errno 13] Permission denied: "
+        f"{str(repo / 'architecture.md')!r}\n")
 
 
 class TestGenerate:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import zip_longest
 
@@ -266,7 +265,7 @@ class TestDumpYaml:
     def test_shared_dict_written_without_aliases(self, writer):
         paths, graph, resolutions = fig_document()
         shared = {"type": "number"}
-        resolutions = {uid: dataclasses.replace(r, schema=shared) for uid, r in resolutions.items()}
+        resolutions = {uid: r._replace(schema=shared) for uid, r in resolutions.items()}
         text = (emit_yaml if writer else intermediary_reference)(CONFIG, paths, graph, resolutions)
         assert "&id" not in text and "*id" not in text
         assert text.count("type: number") >= 2
@@ -308,7 +307,7 @@ def random_intermediary(rng):
         paths.append(TracePath(tuple(nodes), tuple(rng.choice(links) for _ in nodes[1:])))
     config_schema = rng.choice(
         [{}, {"type": "object", "properties": random_document(rng, alphabet)}])
-    graph = TraceGraph(elements=elements, edges=(), by_type={})
+    graph = TraceGraph(elements=elements, edges=(), by_type={}, adjacency={})
     return config_schema, paths, graph, resolutions
 
 

@@ -56,6 +56,21 @@ class TestParseSchema:
             parse_schema({"properties": {"x": {"bogus": 1}}})
         assert str(excinfo.value) == "unsupported keyword 'bogus' (at /properties/x)"
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "schema must be a JSON object (at <root>)"),
+        ({"properties": {"a": 5}}, "schema must be a JSON object (at /properties/a)"),
+        ({"properties": []}, "properties must be an object (at <root>)"),
+        ({"required": [1]}, "required must be a list of strings (at <root>)"),
+        ({"enum": []}, "enum must be a non-empty list (at <root>)"),
+        ({"minimum": True}, "minimum must be a number (at <root>)"),
+        ({"items": {"maximum": "5"}}, "maximum must be a number (at /items)"),
+        ({"unit": ["ms"]}, "unit must be a string (at <root>)"),
+    ])
+    def test_malformed_keyword_value_message(self, doc, message):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_schema(doc)
+        assert str(excinfo.value) == message
+
 
 class TestValidateInstance:
     SCHEMA = {
@@ -79,6 +94,10 @@ class TestValidateInstance:
     def test_bool_is_not_a_number(self):
         assert validate_instance({"type": "number"}, True)
         assert validate_instance({"enum": [1]}, True)
+
+    def test_integer_is_a_number_of_integral_value(self):
+        assert validate_instance({"type": "integer"}, True)
+        assert validate_instance({"type": "integer"}, 1.0) == []
 
     def test_unit_never_fails(self):
         assert validate_instance({"type": "number", "unit": "ms"}, 3) == []

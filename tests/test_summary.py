@@ -2,7 +2,6 @@
 the CLI behaviour that rests on it: the path cap, exact counts, the PlantUML
 overview, and depth past the recursion limit."""
 
-import dataclasses
 import random
 import re
 import time
@@ -24,7 +23,7 @@ from test_traversal import LINK_TYPES, NODE_TYPES, random_dag
 
 TTIM = default_extended_framework()
 # a meta-model whose scenarios are optimizer inputs too
-SCENARIO_INPUTS = dataclasses.replace(TTIM, optimizer_input_type=TTIM.scenario_type)
+SCENARIO_INPUTS = TTIM._replace(optimizer_input_type=TTIM.scenario_type)
 UNLIMITED = 10**9
 
 
