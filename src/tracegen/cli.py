@@ -38,7 +38,12 @@ EXIT_OPERATIONAL = 2
 
 
 def _warn(message: str) -> None:
-    click.echo(message, err=True)
+    try:
+        click.echo(message, err=True)
+    except BrokenPipeError:  # no one reads stderr: this line and the later ones are lost, not the run
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stderr.fileno())
+        os.close(devnull)
 
 
 def _fail(message: object, code: int = EXIT_OPERATIONAL) -> NoReturn:
@@ -72,7 +77,7 @@ def _load_pipeline(
     try:
         ttim = parse_ttim(_read(ttim_path, "TTIM file")) if ttim_path else default_extended_framework()
         # of the calls in this block, only parsing the config schema raises InvalidJson
-        config_schema = parse_schema(parse_json(_read(config_schema_path, "config schema")))
+        config_schema = parse_schema(parse_json(_read(config_schema_path, "config schema"), shared=False))
         files, diagnostics = elements_mod.scan_repository(repo_root, globs)
     except InvalidJson as exc:  # a JSONDecodeError cause also gives the position
         _fail(f"config schema is not valid JSON: {exc.__cause__ or exc}")
@@ -260,7 +265,7 @@ def main() -> None:
         except (OSError, ValueError):  # a closed pipe: end as the interpreter would
             raise exc from None
         os._exit(exc.code or 0)
-    except OSError as exc:  # a failed stdout or stderr write; click ends a broken pipe with exit 1 itself
+    except OSError as exc:  # a failed stdout or stderr write; click ends a closed stdout pipe with exit 1
         try:
             _warn(f"fatal: {exc}")
         finally:  # also when stderr refuses this line

@@ -280,9 +280,14 @@ def equivalent(a: SchemaDoc, b: SchemaDoc) -> bool:
                 if sorted(x) != sorted(y):
                     return False
             elif key == "enum":
-                if _enum_texts(x) != _enum_texts(y):
+                # a string's JSON text is one-to-one, so strings compare as their texts would
+                strings = all(type(member) is str for member in x + y)
+                if sorted(x) != sorted(y) if strings else _enum_texts(x) != _enum_texts(y):
                     return False
-            elif not json_equal(x, y):
+            elif type(x) is dict or type(x) is list:
+                if not json_equal(x, y):
+                    return False
+            elif x != y or _JSON_TYPES[type(x)] != _JSON_TYPES[type(y)]:  # a scalar
                 return False
     return True
 

@@ -1,7 +1,9 @@
+import functools
 import importlib.util
 import json
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -291,12 +293,23 @@ class TestJsonBody:
         ids=["bom", "empty", "unfinished", "trailing", "nan", "minus-infinity", "1e400",
              "600-levels", "5000-digit-int", "valid"],
     )
-    def test_parse_json_matches_json_loads(self, text):
-        assert json_outcome(parse_json, text) == json_outcome(oracles.parse_json, text)
+    @pytest.mark.parametrize("shared", [True, False], ids=["fenced", "config"])
+    def test_parse_json_matches_json_loads(self, text, shared):
+        parse = functools.partial(parse_json, shared=shared)
+        assert json_outcome(parse, text) == json_outcome(oracles.parse_json, text)
 
-    def test_bom_keeps_the_json_loads_message(self):
-        assert json_outcome(parse_json, "\ufeff{}") == (
+    @pytest.mark.parametrize("shared", [True, False], ids=["fenced", "config"])
+    def test_bom_keeps_the_json_loads_message(self, shared):
+        assert json_outcome(functools.partial(parse_json, shared=shared), "\ufeff{}") == (
             "Unexpected UTF-8 BOM (decode using utf-8-sig)", json.JSONDecodeError, 1, 1)
+
+    def test_only_fenced_values_share_strings_across_texts(self):
+        # the config schema is read once, so its decode skips the interning hook
+        text = '{"type": "number", "unit": "ms"}'
+        first, again, config = parse_json(text), parse_json(text), parse_json(text, shared=False)
+        assert first == again == config
+        assert all(a is b for a, b in zip([*first, *first.values()], [*again, *again.values()]))
+        assert config["unit"] is not first["unit"]
 
 
 def json_outcome(parse, text):
@@ -328,8 +341,8 @@ def generated_bodies(root, workload):
 
 
 class TestFenceParity:
-    """first_json_fence starts the pattern only at a "```"; the reference
-    tries it at every offset."""
+    """first_json_fence tries an opener at each "```" and finds its closing
+    line with one search; the reference is one lazy pattern tried at every offset."""
 
     @pytest.mark.parametrize(
         "body",
@@ -347,13 +360,25 @@ class TestFenceParity:
             "```\n```",
             "```",
             "",
+            "```json\n{\n" * 200,
+            "```json\n1\n```\n" + "```json\n{\n" * 200,
+            "```json\n{\n```x\n" * 200 + "```\n",
+            "x```\n" * 200 + "```\n1\n```",
         ],
         ids=["mid-line", "mid-line-close", "four-backticks", "four-open-three-close",
              "trailing-blanks", "trailing-blanks-crlf", "unclosed", "unclosed-then-fence",
-             "two-fences", "offset-0", "empty-fence", "lone-backticks", "empty"],
+             "two-fences", "offset-0", "empty-fence", "lone-backticks", "empty",
+             "openers-only", "fence-then-openers", "near-closers", "mid-line-openers"],
     )
     def test_matches_the_reference(self, body):
         assert fence_of(body) == reference_fence_of(body)
+
+    def test_openers_without_a_closing_line_take_linear_time(self):
+        # each opener once looked for its closing line to the end of the body
+        body = "```json\n{\n" * 20000
+        start = time.perf_counter()
+        assert fence_of(body) == (None, False)
+        assert time.perf_counter() - start < 0.5
 
     def test_matches_the_reference_on_random_bodies(self):
         rng = random.Random(16)

@@ -144,6 +144,36 @@ def test_a_full_stderr_ends_with_exit_2_once_a_line_is_refused(tmp_path, command
         assert expected.stderr_bytes == b""
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("code", [0, 1, 2])
+@pytest.mark.parametrize("command", [*COMMANDS, ["generate", "--format", "plantuml", "--out"]],
+                         ids=" ".join)
+def test_a_reader_that_closed_stderr_loses_only_the_diagnostics(tmp_path, command, code,
+                                                                unbuffered):
+    # a stray link is a warning on every command, so each run writes to stderr
+    (repo, schema), options = exit_repo(tmp_path, code)
+    (repo / "stray.md").write_text('<treqs-link type="refines" target="RS1" />\n')
+    out = tmp_path / "overview.puml"
+    if command[0] == "check":
+        options = []
+    elif command[-1] == "--out":
+        command, options = command[:-1], [*options, "--out", str(out)]
+    args = command_args(command, repo, schema, options)
+    live = run(args, PYTHONUNBUFFERED=unbuffered)
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        closed = run(args, stderr=write, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert (closed.returncode, closed.stdout) == (live.returncode, live.stdout)
+    assert (out.read_bytes() if out.exists() else None) == written
+    assert live.returncode == code and live.stderr
+    assert (written is not None) == ("--out" in options and code == 0)
+
+
 @pytest.mark.parametrize("body, code, stderr", [
     ("sys.exit()", 0, b""),
     ("sys.exit(3)", 3, b""),

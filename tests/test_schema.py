@@ -423,11 +423,13 @@ class TestFuzz:
 # numbers and booleans whose canonical texts tie (0, 0.0, -0.0) or only nearly do
 NUMBERS = [0, 0.0, -0.0, 1, 1.0, True, False, 2.5, -3, -3.0,
            2**53 + 1, 2.0**53, 2**53, 1e22, 10**22, 1e23, 10**23]
+# strings whose JSON texts sort apart from their code points, and one that a number's text spells
+STRINGS = ["", "x", '"', "\\", "\u00e9", "1"]
 
 
 def equivalence_value(rng, depth):
     if depth == 0 or rng.random() < 0.6:
-        return rng.choice(NUMBERS + ["", "x", None])
+        return rng.choice(NUMBERS + STRINGS + [None])
     if rng.random() < 0.5:
         return [equivalence_value(rng, depth - 1) for _ in range(rng.randint(0, 3))]
     return {rng.choice("ab"): equivalence_value(rng, depth - 1) for _ in range(rng.randint(0, 2))}
@@ -443,7 +445,9 @@ def equivalence_schema(rng, depth):
     if rng.random() < 0.25:
         schema["const"] = equivalence_value(rng, 2)
     if rng.random() < 0.3:
-        schema["enum"] = [equivalence_value(rng, 2) for _ in range(rng.randint(1, 4))]
+        strings = rng.random() < 0.4  # enums of strings only take their own path in equivalent
+        schema["enum"] = [rng.choice(STRINGS) if strings else equivalence_value(rng, 2)
+                          for _ in range(rng.randint(1, 4))]
     if rng.random() < 0.5:
         schema["description"] = rng.choice("xy")
     if rng.random() < 0.2:
@@ -522,7 +526,7 @@ def edit(rng, node):
                 slots.append((node, key))
         if slots:
             container, key = rng.choice(slots)
-            container[key] = rng.choice(NUMBERS + ["x", None])
+            container[key] = rng.choice(NUMBERS + STRINGS + [None])
 
 
 def near_miss_pairs(count, seed):
@@ -543,3 +547,22 @@ class TestEquivalentDifferential:
             assert equivalent(a, b) is same, (a, b)
             verdicts[same] += 1
         assert min(verdicts.values()) >= 500, verdicts
+
+    @pytest.mark.parametrize("a, b", [
+        ({"enum": ["1"]}, {"enum": [1]}),
+        ({"enum": [True]}, {"enum": [1]}),
+        ({"enum": ["a", "a", "b"]}, {"enum": ["a", "b", "b"]}),
+        ({"enum": ['"', "\\", "\u00e9", "a"]}, {"enum": ["a", "\u00e9", "\\", '"']}),
+        ({"enum": ['"', "\u00e9"]}, {"enum": ["\u00e9", "\\"]}),
+        ({"enum": ["1", 1]}, {"enum": [1, "1"]}),
+        ({"enum": ["1", 1]}, {"enum": ["1", "1"]}),
+        ({"const": 1}, {"const": True}),
+        ({"const": 0}, {"const": False}),
+        ({"const": 1}, {"const": 1.0}),
+        ({"maximum": 0}, {"maximum": False}),
+        ({"unit": "1"}, {"unit": 1}),
+        ({"const": [1]}, {"const": [True]}),
+    ])
+    def test_pairs_the_random_ones_may_miss(self, a, b):
+        same = canonical_text(a) == canonical_text(b)
+        assert (equivalent(a, b), equivalent(b, a)) == (same, same)
