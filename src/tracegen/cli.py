@@ -54,8 +54,8 @@ def _fail(message: object, code: int = EXIT_OPERATIONAL) -> NoReturn:
 
 
 def _print_diagnostics(diagnostics: list[Diagnostic]) -> None:
-    for diag in diagnostics:
-        _warn(str(diag))
+    if diagnostics:
+        _warn("\n".join(map(str, diagnostics)))
 
 
 def _read(path: str, what: str) -> str:
@@ -107,7 +107,11 @@ def _common_options(command):
 
     @functools.wraps(command)
     def func(repo_root, ttim_path, config_schema_path, globs, reverse_links, **own):
-        return command(*_load_pipeline(repo_root, ttim_path, config_schema_path, globs, reverse_links), **own)
+        try:
+            return command(*_load_pipeline(repo_root, ttim_path, config_schema_path, globs, reverse_links), **own)
+        except BrokenPipeError as exc:  # stdout's reader left (_warn catches stderr's)
+            sys.stdout = click.utils.PacifyFlushWrapper(sys.stdout)  # no flush at exit fails
+            _fail(exc)
 
     func = click.option(
         "--reverse-links",
@@ -265,7 +269,7 @@ def main() -> None:
         except (OSError, ValueError):  # a closed pipe: end as the interpreter would
             raise exc from None
         os._exit(exc.code or 0)
-    except OSError as exc:  # a failed stdout or stderr write; click ends a closed stdout pipe with exit 1
+    except OSError as exc:  # a stdout or stderr write refused for another reason than a closed pipe
         try:
             _warn(f"fatal: {exc}")
         finally:  # also when stderr refuses this line

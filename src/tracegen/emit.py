@@ -23,23 +23,31 @@ _QUOTABLE = {False: "[\x20-\x7e]*",
              True: "[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010fffe]*"}
 # Of those, the ones Emitter.analyze_scalar refuses as plain in block context.
 _NOT_PLAIN = r"---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%@`]|.*(?:: | #|[: ]\Z)"
+# And the ones PyYAML's YAML 1.1 resolvers read as a bool, null (and ""), merge key, value,
+# int, float or timestamp: SafeDumper.yaml_implicit_resolvers but "!&*", never plain anyway.
+_IMPLICIT = ("yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off|Off|OFF"
+             "|~|null|Null|NULL|<<|=||" r"\.(?:[0-9][0-9_]*(?:[eE][-+][0-9]+)?|nan|NaN|NAN)"
+             r"|[-+]?(?:0b[0-1_]+|0x[0-9a-fA-F_]+|0[0-7_]*|[1-9][0-9_]*(?::[0-5]?[0-9])*"
+             r"|\.(?:inf|Inf|INF)|[0-9][0-9_]*(?:\.[0-9_]*(?:[eE][-+][0-9]+)?|(?::[0-5]?[0-9])+\.[0-9_]*))"
+             r"|[0-9]{4}-(?:[0-9][0-9]-[0-9][0-9]|[0-9][0-9]?-[0-9][0-9]?(?:[Tt]|[ \t]+)[0-9][0-9]?"
+             r":[0-9][0-9]:[0-9][0-9](?:\.[0-9]*)?(?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?)")
 
 
 @functools.cache
-def _implicit() -> dict:  # PyYAML's resolvers by first character; it loads only for YAML
-    import yaml
-    return yaml.SafeDumper.yaml_implicit_resolvers
+def _patterns(allow_unicode: bool):
+    """(fullmatch of the strings PyYAML writes unescaped, match of those it quotes)."""
+    return (re.compile(_QUOTABLE[allow_unicode]).fullmatch,
+            re.compile(rf"{_NOT_PLAIN}|(?:{_IMPLICIT})\Z").match)
 
 
 @functools.lru_cache(maxsize=4096)
 def _str_text(value: str, allow_unicode: bool) -> str | None:
     """A string before folding: plain, or single-quoted where YAML 1.1 would misread
     it; None where PyYAML would escape it or fold it at a line break."""
-    if not re.fullmatch(_QUOTABLE[allow_unicode], value):
+    unescaped, quoted = _patterns(allow_unicode)
+    if not unescaped(value):
         return None
-    if re.match(_NOT_PLAIN, value) or any(r.match(value) for _, r in _implicit().get(value[:1], ())):
-        return "'" + value.replace("'", "''") + "'"
-    return value
+    return "'" + value.replace("'", "''") + "'" if quoted(value) else value
 
 
 def _emitted(value: str, allow_unicode: bool, column: int, indent: int, simple_key: bool) -> str:
@@ -141,25 +149,33 @@ def emit_yaml(
     """Deterministic YAML with exactly two top-level keys: the config schema echoed
     from the input and one record per trace path. A record's fields but its trace depend
     only on its input, and a step only on its uid and link: each is written once."""
+    def field(key_line: str, value, indent: int) -> str:  # key_line: a line break, spaces, "key:"
+        return key_line + _leaf(value, True, len(key_line) - 1, indent)
+
     out = [dump_yaml({"config_schema": config_schema}, True),
            "optimizer_inputs:" if paths else "optimizer_inputs: []"]
     inputs: dict[str, tuple[str, str]] = {}  # the fields written before and after the trace
+    schemas: dict[int, str] = {}  # by id: the inputs that link to one schema element share it
     steps: dict[tuple[str, str | None], str] = {}
     for path in paths:
         if path.uid not in inputs:
             element, resolution = graph.elements[path.uid], resolutions[path.uid]
-            before = {"file_name": element.file, "label": element.label,
-                      "placement": element.placement, "schema": resolution.schema}
-            after = {"treqs_type": element.element_type, "uid": path.uid, "value": resolution.value}
-            inputs[path.uid] = (_block([before], True, 0) + "\n  trace:", _block(after, True, 2))
+            schema, value = resolution.schema, resolution.value
+            if id(schema) not in schemas:
+                schemas[id(schema)] = _block({"schema": schema}, True, 2)
+            nested = type(value) in (dict, list) and value
+            inputs[path.uid] = (
+                field("\n- file_name:", element.file, 4) + field("\n  label:", element.label, 4)
+                + field("\n  placement:", element.placement, 4) + schemas[id(schema)] + "\n  trace:",
+                field("\n  treqs_type:", element.element_type, 4) + field("\n  uid:", path.uid, 4)
+                + (_block({"value": value}, True, 2) if nested else field("\n  value:", value, 4)))
         head, tail = inputs[path.uid]
         out.append(head)
         for uid, link in zip_longest(path.nodes, path.link_types):
-            if (uid, link) not in steps:  # the last step, the scenario, has no link
-                step = {"uid": uid, "type": graph.elements[uid].element_type}
-                if link is not None:
-                    step["link_to_next"] = link
-                steps[uid, link] = _block([step], True, 2)
+            if (uid, link) not in steps:  # the last step, the scenario, has no link; "type:" ends column 9
+                line = "\n  - " if link is None else field("\n  - link_to_next:", link, 6) + "\n    "
+                steps[uid, link] = (line + "type:" + _leaf(graph.elements[uid].element_type, True, 9, 6)
+                                    + field("\n    uid:", uid, 6))
             out.append(steps[uid, link])
         out.append(tail)
     return "".join(out) + "\n"

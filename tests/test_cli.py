@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from tracegen.cli import cli
 
 from tracegen import checks
+from tracegen import cli as cli_mod
 
 from conftest import (
     CONFIG_SCHEMA, DEFAULT_TTIM, ETH_SCHEMA, nested, repo_files, write_repo,
@@ -496,6 +497,20 @@ class TestLoadErrors:
         result = run("list-scenarios", repo, "--config-schema", schema)
         assert (result.exit_code, result.stdout) == (0, "RS1\tNight driving\t2\n")
         assert result.stderr == LOAD_ERRORS[case][1] + "\n"
+
+
+def test_a_commands_diagnostics_are_written_at_once(tmp_path, monkeypatch):
+    # the errors of every load case and two stray-link warnings: one stderr write, its
+    # lines joined, with the bytes of one write per line
+    extra = "".join(LOAD_ERRORS[case][0] for case in LOAD_ERRORS)
+    repo, schema = write_repo(tmp_path, repo_files(extra_requirements=extra))
+    (repo / "x.md").write_text('<treqs-link type="refines" target="RS1" />\n' * 2)
+    written, real = [], cli_mod._warn
+    monkeypatch.setattr(cli_mod, "_warn", lambda message: written.append(message) or real(message))
+    result = run("check", repo, "--config-schema", schema)
+    assert result.exit_code == 1
+    assert len(written) == 1 and written[0].count("\n") >= len(LOAD_ERRORS)
+    assert result.stderr == written[0] + "\n"
 
 
 @pytest.mark.parametrize("command, exit_code", [

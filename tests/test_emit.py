@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import zip_longest
 
 import pytest
@@ -323,22 +324,114 @@ class TestSharedRecords:
         # with and without paths, an empty config schema, and recurring inputs
         assert shapes >= {(False, False, False), (True, False, True), (True, True, True)}
 
-    def test_each_input_mapped_once(self, monkeypatch):
-        graph = diamond_graph()
-        paths = collect_optimizer_inputs([listed(graph, uid) for uid in ("RS1", "RS2")])
-        resolutions = resolve_optimizer_inputs(graph, TTIM)
-        blocks = []
-        real_block = emit._block
-        monkeypatch.setattr(emit, "_block",
-                            lambda data, *args: blocks.append(data) or real_block(data, *args))
+    @pytest.mark.parametrize("document", ["recurring-input", "shared-schema"])
+    def test_each_input_step_and_schema_written_once(self, monkeypatch, document):
+        if document == "recurring-input":  # one input that two scenarios reach through one level
+            graph = diamond_graph()
+            paths = collect_optimizer_inputs([listed(graph, uid) for uid in ("RS1", "RS2")])
+            resolutions = resolve_optimizer_inputs(graph, TTIM)
+        else:  # two inputs that link to one schema element, and so share its object
+            paths, graph, resolutions = fig_document()
+            shared = {"type": "number"}
+            resolutions = {uid: r._replace(schema=shared) for uid, r in resolutions.items()}
+        blocks, leaves, inside = [], [], []
+        real_block, real_leaf = emit._block, emit._leaf
+
+        def block(data, *args):
+            blocks.append(data)
+            inside.append(data)
+            try:
+                return real_block(data, *args)
+            finally:
+                inside.pop()
+
+        def leaf(value, *args):
+            if not inside:  # a field on its own key line, not a leaf of a nested block
+                leaves.append(value)
+            return real_leaf(value, *args)
+
+        monkeypatch.setattr(emit, "_block", block)
+        monkeypatch.setattr(emit, "_leaf", leaf)
         text = emit_yaml(CONFIG, paths, graph, resolutions)
-        assert [path.uid for path in paths] == ["OI1", "OI1"]
-        # the header, the fields before and after the trace of each distinct input, and
-        # each distinct (uid, link) step: one block each, and no trace built to be discarded
+        inputs = {path.uid for path in paths}
+        schemas = {id(resolutions[uid].schema): resolutions[uid].schema for uid in inputs}
         distinct = {step for path in paths for step in zip_longest(path.nodes, path.link_types)}
-        assert len(distinct) < sum(len(path.nodes) for path in paths)
-        assert len(blocks) == 1 + 2 * len({path.uid for path in paths}) + len(distinct)
+        assert len(distinct) < sum(len(path.nodes) for path in paths) or len(schemas) < len(inputs)
+        # the header and each distinct schema object: one block each; each distinct input's six
+        # scalar fields and each distinct (uid, link) step's fields: one leaf each, and no
+        # trace built to be discarded
+        assert blocks == [{"config_schema": CONFIG}, *({"schema": s} for s in schemas.values())]
+        assert len(leaves) == 6 * len(inputs) + sum(2 + (link is not None) for _, link in distinct)
         assert text == intermediary_reference(CONFIG, paths, graph, resolutions)
+
+    @pytest.mark.parametrize("element, resolution", [
+        pytest.param({"label": None}, {}, id="no-label"),
+        pytest.param({"placement": None}, {}, id="no-placement"),
+        pytest.param({}, {"schema": {}}, id="empty-schema"),
+        pytest.param({}, {"value": {"b": [1, {"c": None}], "a": "x: y", "": {}}}, id="dict-value"),
+        pytest.param({}, {"value": [1, "two", {"x": []}, [True, 0.5]]}, id="list-value"),
+        pytest.param({}, {"value": {}}, id="empty-dict-value"),
+        pytest.param({}, {"value": []}, id="empty-list-value"),
+        pytest.param({}, {"value": None}, id="null-value"),
+        pytest.param({"label": "yes"}, {}, id="quoted-label"),
+        pytest.param({"label": "word " * 20 + "end"}, {}, id="folded-label"),
+        pytest.param({"label": "it's: " + "word " * 20 + "end"}, {}, id="quoted-folded-label"),
+        pytest.param({"label": "a line\nbreak"}, {}, id="line-break-label"),
+        pytest.param({"file": "docs/" + "long name " * 10 + ".md"}, {}, id="folded-file-name"),
+    ])
+    def test_record_fields_written_like_python_emitter(self, element, resolution):
+        paths, graph, resolutions = fig_document()
+        graph = graph._replace(elements={
+            **graph.elements, "OI_ETH": graph.elements["OI_ETH"]._replace(**element)})
+        resolutions = {**resolutions, "OI_ETH": resolutions["OI_ETH"]._replace(**resolution)}
+        assert emit_yaml(CONFIG, paths, graph, resolutions) == intermediary_reference(
+            CONFIG, paths, graph, resolutions)
+
+
+# Fragments of the strings PyYAML's resolvers read as a bool, null, merge key, value,
+# int, float or timestamp, and the first characters its table is keyed on. No line
+# break: a string with one never reaches the pattern, and "$" would match before it.
+RESOLVER_PIECES = [
+    *"0123456789_.:-+eEbxoabcdfABCDF TtZ~<=!&*\t",
+    *["yes", "Yes", "YES", "yEs", "no", "No", "NO", "nO", "true", "True", "TRUE", "tRUE"],
+    *["false", "False", "FALSE", "on", "On", "ON", "oN", "off", "Off", "OFF", "oFf"],
+    *["null", "Null", "NULL", "nULL", "<<", "0b", "0x", "0o", "1_000", "0777", "0b1_0"],
+    *[".inf", ".Inf", ".INF", ".iNF", ".nan", ".NaN", ".NAN", ".nAn", "e+3", "e3", "E-12"],
+    *["1:20", ":59", ":60", ":5", "2001-12-14", "2001-1-4", "T21:59:43", " 21:59:43.10"],
+    *["-05:00", " -5", "Z", ".10"],
+]
+
+
+def near_miss(rng):
+    """A few resolver pieces, one of them at times replaced by another piece."""
+    text = "".join(rng.choice(RESOLVER_PIECES) for _ in range(rng.randint(0, 6)))
+    if text and rng.random() < 0.5:
+        i = rng.randrange(len(text))
+        text = text[:i] + rng.choice(RESOLVER_PIECES) + text[i + 1:]
+    return text
+
+
+class TestImplicitResolvers:
+    def test_same_answers_as_pyyaml_on_near_misses(self):
+        table = yaml.SafeDumper.yaml_implicit_resolvers
+        implicit, quoted = re.compile(emit._IMPLICIT), emit._patterns(False)[1]
+        rng = random.Random(20261020)
+        answers, tags_seen = {}, set()
+        for _ in range(100_000):
+            text = near_miss(rng)
+            tags = {tag for tag, regexp in table.get(text[:1], ()) if regexp.match(text)}
+            tags_seen |= tags
+            # the yaml tag's "!", "&" and "*" are never plain: they fall under _NOT_PLAIN
+            expected = bool(tags - {"tag:yaml.org,2002:yaml"})
+            assert bool(implicit.fullmatch(text)) == expected, text
+            assert bool(quoted(text)) == (expected or bool(re.match(emit._NOT_PLAIN, text))), text
+            answers.setdefault(text[:1], set()).add(expected)
+        # every first character the table is keyed on, each read both ways but "" (a null)
+        # and "!", "&" and "*" (never implicit)
+        assert set(table) <= set(answers)
+        assert all(answers[c] == {False, True} for c in table if c not in ("", "!", "&", "*"))
+        assert tags_seen == {tag for regexps in table.values() for tag, _ in regexps}
+        assert all(quoted(c) for c in "!&*")
 
 
 class TestOneLine:

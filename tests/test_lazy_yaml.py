@@ -1,6 +1,7 @@
-"""PyYAML is imported only where YAML is read or written: the PlantUML
-overview, list-scenarios and --help run without it, and where it is loaded
-the bytes are those of a process that had it loaded from the start."""
+"""PyYAML is imported only where YAML is read (a --ttim file) or where a string
+needs PyYAML's own scalar writer: the intermediary document, the check report,
+the PlantUML overview, list-scenarios and --help run without it, and where it
+is loaded the bytes are those of a process that had it loaded from the start."""
 
 import os
 import subprocess
@@ -10,10 +11,13 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from tracegen.checks import Resolution
 from tracegen.cli import cli
+from tracegen.graph import TraceGraph
+from tracegen.traversal import TracePath
 
-from conftest import DEFAULT_TTIM
-from oracles import dump_reference
+from conftest import DEFAULT_TTIM, mk_element
+from oracles import dump_reference, intermediary_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,17 +65,17 @@ def test_not_loaded_for_help():
     assert not fresh_cli(["--help"])
 
 
-def test_loaded_for_the_intermediary_document(fig_repo):
-    assert fresh_cli(repo_args(["generate", "--format", "yaml"], fig_repo))
+def test_not_loaded_for_the_intermediary_document(fig_repo):
+    assert not fresh_cli(repo_args(["generate", "--format", "yaml"], fig_repo))
 
 
-def test_loaded_for_the_report(fig_repo, tmp_path):
+def test_not_loaded_for_the_report(fig_repo, tmp_path):
     report = tmp_path / "report.yaml"
     args = repo_args(["check"], fig_repo, "--report", str(report))
     CliRunner().invoke(cli, args)
     expected = report.read_bytes()
     report.unlink()
-    assert fresh_cli(args)
+    assert not fresh_cli(args)
     assert report.read_bytes() == expected
 
 
@@ -90,3 +94,19 @@ def test_loaded_for_a_string_only_pyyaml_writes(allow_unicode):
         f"sys.stdout.write(emit.dump_yaml({data!r}, {allow_unicode}))")
     assert loaded, stderr
     assert result.stdout.decode("utf-8") == dump_reference(data, allow_unicode)
+
+
+def test_loaded_for_a_record_field_only_pyyaml_writes():
+    element = mk_element("OI", "OptimizerInput", label="a line\nbreak", placement="/p")
+    doc = ({"type": "object"}, [TracePath(("OI",), ())], TraceGraph({"OI": element}, (), {}, {}),
+           {"OI": Resolution((), {"type": "number"}, 1, True)})
+    result, stderr, loaded = fresh(
+        "from tracegen import emit\n"
+        "from tracegen.checks import Resolution\n"
+        "from tracegen.elements import RawElement, RawLink\n"
+        "from tracegen.graph import TraceGraph\n"
+        "from tracegen.traversal import TracePath\n"
+        "assert 'yaml' not in sys.modules\n"
+        f"sys.stdout.write(emit.emit_yaml(*{doc!r}))")
+    assert loaded, stderr
+    assert result.stdout.decode("utf-8") == intermediary_reference(*doc)
