@@ -85,7 +85,7 @@ def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list
             continue
         for element_type in sorted(link_def.source_types):
             for uid in graph.by_type.get(element_type, ()):
-                if not any(lt == link_def.name for lt, _ in graph.outgoing(uid)):
+                if not any(lt == link_def.name for _, lt, _ in graph.outgoing(uid)):
                     violation(uid, f"missing required outgoing link of type {link_def.name!r}")
     return out
 
@@ -123,7 +123,7 @@ def _resolve(
             note("error", element.uid, str(exc))
         return False, None
 
-    targets = [t for lt, t in graph.outgoing(oi_uid) if lt == ttim.schema_link]
+    targets = [t for _, lt, t in graph.outgoing(oi_uid) if lt == ttim.schema_link]
     if not targets:
         # check 1 reports the absence when the meta-model requires the link
         return Resolution(())

@@ -7,6 +7,7 @@ standard error.
 
 from __future__ import annotations
 
+import errno
 import functools
 import gc
 import json  # noqa: F401 (perfbench/tracer.py wraps cli.json.loads by name)
@@ -92,6 +93,13 @@ def _load_pipeline(
     diagnostics.extend(build_diags)
     _print_diagnostics(diagnostics)
     return graph, ttim, config_schema, any(diag.severity == "error" for diag in diagnostics)
+
+
+def _echo(text: str) -> None:
+    """Write to stdout as bytes, so that click.echo neither strips ANSI sequences nor re-encodes."""
+    if sys.stdout is None:  # descriptor 1 is closed, and click.echo would drop the text
+        _fail(OSError(errno.EBADF, os.strerror(errno.EBADF)))
+    click.echo(text.encode("utf-8"), nl=False)
 
 
 def _write(path: str, text: str) -> None:
@@ -233,8 +241,8 @@ def cmd_generate(
         text = emit_plantuml(*summary.reached(summary.scenarios), graph, resolutions)
     if output_path:
         _write(output_path, text)
-    else:  # as bytes, so that click.echo neither strips ANSI sequences nor re-encodes
-        click.echo(text.encode("utf-8"), nl=False)
+    else:
+        _echo(text)
     sys.exit(EXIT_OK)
 
 
@@ -250,7 +258,7 @@ def cmd_list_scenarios(graph, ttim, config_schema, load_failed, max_paths_per_sc
         except TracegenError as exc:
             _fail(exc, EXIT_CHECK_FAILED)
         label = one_line(graph.elements[uid].label or "")
-        click.echo(f"{uid}\t{label}\t{count}\n".encode("utf-8"), nl=False)
+        _echo(f"{uid}\t{label}\t{count}\n")
     sys.exit(EXIT_OK)
 
 

@@ -17,11 +17,11 @@ if TYPE_CHECKING:
     from tracegen.checks import Resolution
 
 
-# Strings PyYAML writes unescaped: printable, no line break or BOM; ASCII unless
+# Characters PyYAML escapes: not printable, a line break or BOM; past ASCII unless
 # allow_unicode. The patterns compile on first use, not when the CLI starts.
-_QUOTABLE = {False: "[\x20-\x7e]*",
-             True: "[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010fffe]*"}
-# Of those, the ones Emitter.analyze_scalar refuses as plain in block context.
+_ESCAPED = {False: "[^\x20-\x7e]",
+            True: "[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufeff\ufffe\uffff\U0010ffff]"}
+# Of the strings with none of them, those Emitter.analyze_scalar refuses as plain in block context.
 _NOT_PLAIN = r"---|\.\.\.|[-?:](?: |\Z)|[ #,\[\]{}&*!|>'\"%@`]|.*(?:: | #|[: ]\Z)"
 # And the ones PyYAML's YAML 1.1 resolvers read as a bool, null (and ""), merge key, value,
 # int, float or timestamp: SafeDumper.yaml_implicit_resolvers but "!&*", never plain anyway.
@@ -35,8 +35,8 @@ _IMPLICIT = ("yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE|on|On|ON|off
 
 @functools.cache
 def _patterns(allow_unicode: bool):
-    """(fullmatch of the strings PyYAML writes unescaped, match of those it quotes)."""
-    return (re.compile(_QUOTABLE[allow_unicode]).fullmatch,
+    """(search for a character PyYAML escapes, match of the strings it quotes)."""
+    return (re.compile(_ESCAPED[allow_unicode]).search,
             re.compile(rf"{_NOT_PLAIN}|(?:{_IMPLICIT})\Z").match)
 
 
@@ -44,8 +44,8 @@ def _patterns(allow_unicode: bool):
 def _str_text(value: str, allow_unicode: bool) -> str | None:
     """A string before folding: plain, or single-quoted where YAML 1.1 would misread
     it; None where PyYAML would escape it or fold it at a line break."""
-    unescaped, quoted = _patterns(allow_unicode)
-    if not unescaped(value):
+    escaped, quoted = _patterns(allow_unicode)
+    if escaped(value):
         return None
     return "'" + value.replace("'", "''") + "'" if quoted(value) else value
 
@@ -178,7 +178,8 @@ def emit_yaml(
                                     + field("\n    uid:", uid, 6))
             out.append(steps[uid, link])
         out.append(tail)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def one_line(text: str) -> str:
@@ -216,13 +217,11 @@ def emit_plantuml(
     lines = ["@startuml"]
     for uid in uids:
         element = graph.elements[uid]
-        parts = [uid, element.element_type]
-        if element.label:
-            parts.append(element.label)
-        label = one_line("\\n".join(parts))
-        lines.append(f'component "{label}" as {aliases[uid]}')
-    for source, link_type, target in (edge for edge in graph.edges if edge in edges):
-        lines.append(f"{aliases[source]} --> {aliases[target]} : {link_type}")
+        label = (f"{uid}\\n{element.element_type}\\n{element.label}" if element.label
+                 else f"{uid}\\n{element.element_type}")
+        lines.append(f'component "{one_line(label)}" as {aliases[uid]}')
+    lines += [f"{aliases[source]} --> {aliases[target]} : {link_type}"
+              for edge in graph.edges if edge in edges for source, link_type, target in (edge,)]
     lines.append("legend")
     for uid in (uid for uid in uids if uid in resolutions):
         placement = graph.elements[uid].placement
@@ -230,6 +229,5 @@ def emit_plantuml(
             placement = "(no placement)"
         type_kw = resolutions[uid].schema.get("type", "(untyped)")
         lines.append(f"  {uid}: {one_line(placement)} ({type_kw})")
-    lines.append("endlegend")
-    lines.append("@enduml")
-    return "\n".join(lines) + "\n"
+    lines += ["endlegend", "@enduml", ""]  # the last line break, without copying the text
+    return "\n".join(lines)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from tracegen.elements import RawElement
@@ -14,10 +16,10 @@ class TraceGraph(NamedTuple):
     elements: dict[str, RawElement]
     edges: tuple[Edge, ...]
     by_type: dict[str, tuple[str, ...]]
-    adjacency: dict[str, tuple[tuple[str, str], ...]]
+    adjacency: dict[str, tuple[Edge, ...]]
 
-    def outgoing(self, uid: str) -> tuple[tuple[str, str], ...]:
-        """Outgoing (link_type, target_uid) pairs in lexicographic order."""
+    def outgoing(self, uid: str) -> tuple[Edge, ...]:
+        """The edges from ``uid``, the very tuples of ``edges``, in lexicographic order."""
         return self.adjacency.get(uid, ())
 
 
@@ -61,10 +63,7 @@ def build_graph(
                 continue
             message = problem.format(link.link_type, link.target_uid)
             diagnostics.append(Diagnostic(severity, message, element.file, link.line))
-    edges = tuple(sorted(edge_set))
-    adjacency: dict[str, list[tuple[str, str]]] = {}
-    for source, link_type, target in edges:  # in order, as the edges are sorted
-        adjacency.setdefault(source, []).append((link_type, target))
+    edges = tuple(sorted(edge_set))  # so each source's edges are one run
 
     by_type: dict[str, list[str]] = {}
     for uid, element in kept.items():
@@ -73,6 +72,6 @@ def build_graph(
         elements=kept,
         edges=edges,
         by_type={t: tuple(sorted(uids)) for t, uids in by_type.items()},
-        adjacency={uid: tuple(pairs) for uid, pairs in adjacency.items()},
+        adjacency={source: tuple(run) for source, run in groupby(edges, itemgetter(0))},
     )
     return graph, diagnostics

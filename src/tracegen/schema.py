@@ -204,7 +204,8 @@ def resolve_pointer(schema: SchemaDoc, pointer: str) -> SchemaDoc:
     or ``items``; an array index or any other keyword's value is unresolvable.
     """
     current = schema
-    tokens = (unescape_token(token) for token in pointer.split("/")[1:])
+    tokens = iter(pointer.split("/")[1:])
+    tokens = map(unescape_token, tokens) if "~" in pointer else tokens  # unescaping needs a "~"
     for token in tokens:
         if token == "items" and token in current:
             current = current["items"]

@@ -6,9 +6,10 @@ the path: no earlier path node is reachable from it, or it would share that
 component, so the depth-first search below it is the same whatever the
 prefix. That search runs once per such entry node and keeps the paths it
 records as pieces, which share their common edges and end where the path
-ends or leaves the SCC. The PlantUML overview unites the pieces' edges, and
-the YAML records are the pieces joined. Only moves inside a nontrivial SCC
-still enumerate simple paths, since counting those is #P-complete.
+ends or leaves the SCC; below a node alone in its SCC it is one step over the
+node's edges, taken in the Tarjan pass that finds the components. The PlantUML
+overview unites the pieces' edges, and the YAML records are the pieces joined.
+Only moves in a nontrivial SCC enumerate simple paths (#P-complete to count).
 """
 
 from __future__ import annotations
@@ -184,10 +185,10 @@ def _search_below(
         if count > cap:  # whoever reaches this entry fails: its events go unused
             return _Entry(count, (), ())
         node, neighbours, trail = frames[-1]
-        for link_type, target in neighbours:
+        for edge in neighbours:
+            _, link_type, target = edge
             if link_type == schema_link:
                 continue
-            edge = (node, link_type, target)
             if target in on_path:
                 if edge not in noted:
                     noted.add(edge)
@@ -227,10 +228,11 @@ def summarize_traversal(
     and any other node when an edge from a later component enters it. Either
     way Tarjan's path to it is a simple path from the current scenario on
     which it is the first of its SCC, so an entry past the cap puts that
-    scenario past it too, and summarizing stops there.
+    scenario past it too, and summarizing stops there. A root alone in its
+    component is summarized from its own edges, whose targets are finished.
     """
     scenarios = list(graph.by_type.get(ttim.scenario_type, ()))
-    schema_link = ttim.schema_link
+    elements, oi_type, schema_link = graph.elements, ttim.optimizer_input_type, ttim.schema_link
     cap = max(max_paths, 0)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -251,7 +253,7 @@ def summarize_traversal(
         work = [(root, iter(graph.outgoing(root)))]
         while work:
             node, edges = work[-1]
-            for link_type, target in edges:
+            for _, link_type, target in edges:
                 if link_type == schema_link:
                     continue
                 if target not in index:
@@ -260,7 +262,7 @@ def summarize_traversal(
                     work.append((target, iter(graph.outgoing(target))))
                     break
                 if target in component:  # a finished component, entered from this one
-                    if not summarize(target):
+                    if target not in summaries and not summarize(target):
                         return False
                 elif index[target] < low[node]:  # on the stack: this node's component
                     low[node] = index[target]
@@ -270,11 +272,33 @@ def summarize_traversal(
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
                     continue
-                member = None
-                while member != node:
-                    member = stack.pop()
-                    component[member] = node
-                if not summarize(node):
+                if stack[-1] != node:
+                    member = None
+                    while member != node:
+                        member = stack.pop()
+                        component[member] = node
+                    if not summarize(node):
+                        return False
+                    continue
+                component[stack.pop()] = node  # alone in its SCC: the search below is one step
+                pieces: list[_Piece] = [(None, None)] if elements[node].element_type == oi_type else []
+                count = len(pieces)
+                events: dict[Edge | str, None] = {}  # in order of first occurrence
+                for edge in graph.outgoing(node):
+                    _, link_type, target = edge
+                    if link_type == schema_link:
+                        continue
+                    if target == node:  # a self-loop, the one edge it prunes
+                        events[edge] = None
+                        continue
+                    below = summaries[target]
+                    if below.count:
+                        count += below.count
+                        pieces.append(((edge, None), target))
+                    if below.events:
+                        events[target] = None
+                summaries[node] = _Entry(count, tuple(events), tuple(pieces))
+                if count > cap:
                     return False
         return True
 

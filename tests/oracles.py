@@ -108,6 +108,15 @@ def brute_force_paths(edges, types, scenario, target_type, excluded_link):
     return found
 
 
+def outgoing_pairs(graph: TraceGraph) -> dict[str, list[tuple[str, str]]]:
+    """Each source's (link_type, target) pairs in edge order, built from
+    ``graph.edges`` alone: the references do not read the graph's own index."""
+    pairs: dict[str, list[tuple[str, str]]] = {}
+    for source, link_type, target in graph.edges:
+        pairs.setdefault(source, []).append((link_type, target))
+    return pairs
+
+
 # The enumerator as it was before the traversal summary: the reference for
 # the summary's counts, unions, cycle warnings and listed paths, and for the
 # cap.
@@ -147,7 +156,8 @@ def traverse_from_scenario(
         record()  # a meta-model may give both roles one type
     # an explicit stack of neighbour iterators, one per node on the path, so
     # the depth is not bounded by the recursion limit
-    stack = [iter(graph.outgoing(scenario))]
+    outgoing = outgoing_pairs(graph)
+    stack = [iter(outgoing.get(scenario, ()))]
     while stack:
         for link_type, target in stack[-1]:
             if link_type == ttim.schema_link:
@@ -172,7 +182,7 @@ def traverse_from_scenario(
             links.append(link_type)
             if graph.elements[target].element_type == ttim.optimizer_input_type:
                 record()
-            stack.append(iter(graph.outgoing(target)))
+            stack.append(iter(outgoing.get(target, ())))
             break
         else:
             stack.pop()
@@ -542,13 +552,14 @@ def check_metamodel_consistency(graph: TraceGraph, ttim: TtimDefinition) -> list
                 source,
                 f"link {link_type!r} may not point at a {target_type!r} element ({target})",
             )
+    outgoing = outgoing_pairs(graph)
     for link_def in ttim.link_types:
         if not link_def.required:
             continue
         for uid in sorted(graph.elements):
             if graph.elements[uid].element_type not in link_def.source_types:
                 continue
-            if not any(lt == link_def.name for lt, _ in graph.outgoing(uid)):
+            if not any(lt == link_def.name for lt, _ in outgoing.get(uid, ())):
                 violation(uid, f"missing required outgoing link of type {link_def.name!r}")
     return out
 

@@ -434,6 +434,22 @@ class TestImplicitResolvers:
         assert all(quoted(c) for c in "!&*")
 
 
+# The characters PyYAML writes unescaped, as the writer once matched them
+UNESCAPED = {False: "[\x20-\x7e]",
+             True: "[\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010fffe]"}
+
+
+class TestEscaped:
+    @pytest.mark.parametrize("allow_unicode, count", [(False, 0x110000 - 95), (True, 2_119)])
+    def test_the_complement_of_the_unescaped_characters(self, allow_unicode, count):
+        # every code point, matched in runs by each form: the two split them apart
+        everything = "".join(map(chr, range(0x110000)))
+        kept = "".join(re.findall(UNESCAPED[allow_unicode] + "+", everything))
+        escaped = "".join(re.findall(emit._ESCAPED[allow_unicode] + "+", everything))
+        assert len(escaped) == count and len(kept) + len(escaped) == len(everything)
+        assert not re.search(emit._ESCAPED[allow_unicode], kept)
+
+
 class TestOneLine:
     def test_only_tab_cr_and_lf_become_spaces(self):
         assert one_line("a\tb\rc\nd\r\n") == "a b c d  "

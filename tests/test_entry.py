@@ -103,7 +103,20 @@ def test_a_closed_stdout_gets_what_cli_gives(fig_repo, command):
     entry, whole = (run(command_args(command, *fig_repo), stdout=None, main=main,
                         preexec_fn=lambda: os.close(1))
                     for main in ("cli.main()", "cli.cli()"))
-    assert (entry.returncode, entry.stderr) == (whole.returncode, whole.stderr) == (0, b"")
+    assert (entry.returncode, entry.stderr) == (whole.returncode, whole.stderr)
+    # the artifact could not be delivered: exit 2 and one fatal line; check writes nothing there
+    closed = f"fatal: {OSError(errno.EBADF, os.strerror(errno.EBADF))}\n".encode()
+    assert (entry.returncode, entry.stderr) == ((0, b"") if command == ["check"] else (2, closed))
+
+
+def test_generate_with_out_needs_no_stdout(fig_repo, tmp_path):
+    # generate --out writes its artifact to the file, as with a stdout
+    out = tmp_path / "out.yaml"
+    result = run(command_args(["generate"], *fig_repo, ["--out", out]), stdout=None,
+                 preexec_fn=lambda: os.close(1))
+    assert (result.returncode, result.stderr) == (0, b"")
+    expected = CliRunner().invoke(cli, command_args(["generate"], *fig_repo), prog_name=PROG)
+    assert out.read_bytes() == expected.stdout_bytes
 
 
 def test_a_failed_flush_at_exit_ends_as_the_interpreter_would(fig_repo):

@@ -35,7 +35,9 @@ class TestBuildGraph:
             reverse_links=False,
         )
         assert graph.edges == (("A", "l", "B"), ("A", "m", "B"))
-        assert graph.outgoing("A") == (("l", "B"), ("m", "B"))
+        assert graph.outgoing("A") == (("A", "l", "B"), ("A", "m", "B"))
+        # the very tuples of graph.edges, not copies
+        assert all(mine is edge for mine, edge in zip(graph.outgoing("A"), graph.edges))
         assert [str(d) for d in diagnostics] == ["warning: mem.md:1: duplicate link 'l' to 'B'"] * 2
 
     def test_duplicate_uid_keeps_earliest_file(self):
@@ -87,8 +89,10 @@ class TestBuildGraph:
         assert flipped_diagnostics == diagnostics
         assert flipped.edges == tuple(sorted(edge[::-1] for edge in graph.edges))
         for uid in uids:
-            assert flipped.outgoing(uid) == tuple(
-                (lt, target) for source, lt, target in flipped.edges if source == uid)
+            mine = flipped.outgoing(uid)
+            expected = tuple(edge for edge in flipped.edges if edge[0] == uid)
+            assert mine == expected
+            assert all(edge is stored for edge, stored in zip(mine, expected))
 
     def test_edge_count_bound(self):
         elements = [

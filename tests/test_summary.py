@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
+from tracegen import traversal
 from tracegen.cli import cli
 from tracegen.errors import TracegenError
 from tracegen.graph import build_graph
@@ -67,15 +68,34 @@ def assert_capped_like_reference(graph, ttim, cap):
             with pytest.raises(TracegenError) as raised:
                 summary.count(scenario)
             assert str(raised.value) == str(exc)
-            return scenario
+            assert summary.over_cap == scenario
+            return summary
         assert summary.count(scenario) == expected
     assert summary.over_cap is None
-    return None
+    return summary
 
 
-def random_cyclic_graph(rng, n, seen):
+def alone_in_their_components(graph, ttim):
+    """The nodes that share their SCC with no other node, schema links aside,
+    worked out from ``graph.edges`` alone."""
+    reach = {}
+    for uid in graph.elements:
+        found, todo = set(), [uid]
+        while todo:
+            node = todo.pop()
+            for source, link_type, target in graph.edges:
+                if source == node and link_type != ttim.schema_link and target not in found:
+                    found.add(target)
+                    todo.append(target)
+        reach[uid] = found
+    return {uid for uid, found in reach.items() if not any(uid in reach[v] for v in found - {uid})}
+
+
+def random_cyclic_graph(rng, n, seen, forward_only=False):
     """Random digraph on ``n`` nodes, self-loops included; a linked pair gets
-    two link types now and then, and the schema link is one of the types."""
+    two link types now and then, and the schema link is one of the types.
+    ``forward_only`` drops each link back to the same or an earlier node but a
+    self-loop, which leaves every node alone in its SCC."""
     uids = [f"N{i:02d}" for i in range(n)]
     types = {uid: rng.choice(NODE_TYPES) for uid in uids}
     types[uids[0]] = "runtime-scenario"
@@ -83,7 +103,7 @@ def random_cyclic_graph(rng, n, seen):
     links = {uid: [] for uid in uids}
     for source in uids:
         for target in uids:
-            if rng.random() < density:
+            if rng.random() < density and (source <= target or not forward_only):
                 kinds = rng.sample(LINK_TYPES + [TTIM.schema_link], rng.choice((1, 1, 1, 2)))
                 links[source].extend((kind, target) for kind in kinds)
                 seen["self-loop"] += source == target
@@ -108,12 +128,23 @@ class TestDifferential:
     def test_random_cyclic_graphs(self, ttim):
         rng = random.Random(2024)
         seen = Counter()
-        for _ in range(400):
-            graph = random_cyclic_graph(rng, rng.randint(2, 11), seen)
+        # 400 graphs of any shape, then 1,000 whose every node is alone in its SCC
+        for forward_only in [False] * 400 + [True] * 1000:
+            graph = random_cyclic_graph(rng, rng.randint(2, 11), seen, forward_only)
             summary = assert_matches_reference(graph, ttim)
             counts = {uid: summary.count(uid) for uid in summary.scenarios}
-            seen["over the cap"] += bool(
-                assert_capped_like_reference(graph, ttim, rng.randint(-1, 6)))
+            cap = rng.randint(-1, 6)
+            capped = assert_capped_like_reference(graph, ttim, cap)
+            seen["over the cap"] += capped.over_cap is not None
+            # an entry alone in its SCC is summarized in one step over its edges
+            alone = alone_in_their_components(graph, ttim)
+            loops = {source for source, link_type, target in graph.edges
+                     if source == target and link_type != ttim.schema_link}
+            seen["alone with a self-loop and paths below"] += any(
+                uid in alone & loops and any(below for _, below in entry.pieces)
+                for uid, entry in summary.entries.items())
+            seen["alone past the cap"] += any(
+                uid in alone and entry.count > max(cap, 0) for uid, entry in capped.entries.items())
             seen["paths"] += any(counts.values())
             # paths past pruned cycle edges; past several, as in a larger SCC
             seen["paths past a cycle"] += any(
@@ -136,6 +167,48 @@ class TestDifferential:
             "cycle edge RS -refines-> RS pruned during traversal",
             "cycle edge A -contains-> RS pruned during traversal",
         ]
+
+
+class TestOneStepBelowANodeAlone:
+    """A node alone in its SCC is summarized in the Tarjan pass from its own
+    edges: the general search runs only below the entries of a component with
+    two or more nodes."""
+
+    @staticmethod
+    def searched(monkeypatch):
+        """The entries that _search_below is called for, in call order."""
+        entries = []
+        search_below = traversal._search_below
+
+        def counted(graph, ttim, entry, *rest):
+            entries.append(entry)
+            return search_below(graph, ttim, entry, *rest)
+
+        monkeypatch.setattr(traversal, "_search_below", counted)
+        return entries
+
+    def test_no_search_on_a_dag(self, monkeypatch):
+        entries = self.searched(monkeypatch)
+        rng = random.Random(5)
+        for _ in range(100):
+            graph, _, _ = random_dag(rng, rng.randint(2, 12), repeat=0.1)
+            assert_matches_reference(graph, TTIM)
+        assert entries == []
+
+    def test_a_search_per_entry_of_the_one_cycle(self, monkeypatch):
+        # A -> B -> C -> A, entered at A from RS and at B from X
+        graph, _ = build_graph([
+            mk_element("RS", "runtime-scenario", links=[("scopes", "A"), ("scopes", "X")]),
+            mk_element("X", "abstraction-level", links=[("contains", "B")], line=2),
+            mk_element("A", "requirement", links=[("refines", "B")], line=3),
+            mk_element("B", "requirement", links=[("refines", "C")], line=4),
+            mk_element("C", "requirement", links=[("refines", "A"), ("realizes", "OI")], line=5),
+            mk_element("OI", "OptimizerInput", line=6),
+        ], reverse_links=False)
+        entries = self.searched(monkeypatch)
+        summary = assert_matches_reference(graph, TTIM)
+        assert entries == ["A", "B"]
+        assert summary.count("RS") == 2
 
 
 # RS0 reaches no input, RS1 has 2 paths and RS2 3; both warn about one cycle
